@@ -60,7 +60,7 @@ func writeDecisions(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for _, tick := range []float64{60, 120} {
-		dw.Note(core.PlanRecord{
+		dw.NoteBackend(0, core.PlanRecord{
 			Time: simclock.Time(tick),
 			Measurement: core.Measurement{
 				Velocity:        map[engine.ClassID]float64{1: 0.5},

@@ -263,6 +263,18 @@ func main() {
 	run := func(name string) bool { return *exp == name || *exp == "all" }
 	any := false
 	faults := loadFaults(*faultsFile)
+	// checkFaults rejects, before the run starts, a fault plan that the
+	// run's roster of n backends cannot execute: backend faults on a
+	// single engine, unknown backend IDs, or every backend down at once.
+	checkFaults := func(n int) {
+		if faults == nil {
+			return
+		}
+		if err := faults.ValidateRoster(n); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 
 	writeMixedTables := func(name string, res *experiment.MixedResult) {
 		experiment.WriteMixed(out, res)
@@ -307,6 +319,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		checkFaults(len(sc.Backends))
 		if *seed != 1 {
 			sc.Seed = *seed
 		}
@@ -386,11 +399,10 @@ func main() {
 		cfg.CheckpointEvery = *checkpointEvery
 		cfg.CheckpointDir = *checkpointDir
 		if *backends > 1 {
-			// Fault plans and the retry stack are wired per backend in the
-			// fleet rig; only backend-scoped fault targets are validated
-			// there (a plan naming backend 5 on a 3-box fleet panics).
+			// Fault plans and the retry stack are wired per backend.
 			cfg.Backends = backend.DefaultSpecs(*backends)
 		}
+		checkFaults(*backends)
 		if *mitigate {
 			if mode == experiment.QueryScheduler {
 				qc := experiment.MitigatedQSConfig()
@@ -441,6 +453,7 @@ func main() {
 	}
 	if *exp == "infeasible" { // not part of "all": deliberately unmeetable goals
 		any = true
+		checkFaults(1)
 		cfg := experiment.InfeasibleMixedConfig()
 		cfg.Seed = *seed
 		cfg.Trace = traceWriter()
@@ -469,6 +482,7 @@ func main() {
 	if *exp == "routing" { // not part of "all": the fleet is its own testbed
 		any = true
 		cfg := experiment.RoutingMixedConfig()
+		checkFaults(len(cfg.Backends))
 		cfg.Seed = *seed
 		cfg.Trace = traceWriter()
 		cfg.Metrics = metricsSink.writer()
@@ -559,6 +573,7 @@ func main() {
 		}
 		fmCfg.Seed = *seed
 		fmCfg.Parallel = *parallel
+		checkFaults(1)
 		if faults != nil {
 			// A custom plan replaces the built-in scenario set; it still
 			// runs both arms.
@@ -574,6 +589,7 @@ func main() {
 		crCfg := experiment.DefaultCrashRecoveryConfig()
 		crCfg.Seed = *seed
 		crCfg.Parallel = *parallel
+		checkFaults(1)
 		if faults != nil {
 			// A custom plan replaces the built-in one; its crash time is
 			// still overwritten per cell.

@@ -165,7 +165,7 @@ func main() {
 	defer stopProfile()
 
 	// Fault plans and the mitigation stack apply per backend on fleet
-	// runs; the fleet rig validates backend-scoped fault targets itself.
+	// runs.
 	var fleetSpecs []backend.Spec
 	if *backends > 1 {
 		fleetSpecs = backend.DefaultSpecs(*backends)
@@ -180,6 +180,9 @@ func main() {
 		}
 		plan, err := fault.ParseSpec(f)
 		f.Close()
+		if err == nil {
+			err = plan.ValidateRoster(*backends)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -1,9 +1,9 @@
 // Package backend bundles one simulated engine with its admission-
 // control stack — patroller, Query Scheduler, per-backend metrics
-// collector — behind a single handle the routing tier composes into a
-// fleet. The classic single-engine rig is exactly one backend; a fleet
-// run stands up N of them on one shared clock, each with its own
-// capacity profile, and routes every query to one of them.
+// collector — behind a single handle. Every experiment rig is a roster
+// of these on one shared clock: the paper's single engine is a roster of
+// one, and a fleet of N, each with its own capacity profile, sits behind
+// the routing tier, which sends every query to one of them.
 package backend
 
 import (
@@ -14,7 +14,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/patroller"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // Spec is one backend's capacity profile and routing bias — the
@@ -51,8 +50,8 @@ func (s Spec) EngineConfig() engine.Config {
 }
 
 // DefaultSpecs returns n identical paper-default backends named b1..bn —
-// the -backends N fleet. A single default spec reproduces the classic
-// single-engine rig exactly.
+// the -backends N fleet. A single default spec is a fleet of one: the
+// paper's single engine, exactly.
 func DefaultSpecs(n int) []Spec {
 	out := make([]Spec, n)
 	for i := range out {
@@ -88,8 +87,9 @@ type Backend interface {
 	Evacuate() []*engine.Query
 }
 
-// Instance is one concrete backend: an engine plus (once attached) its
-// patroller, per-backend Query Scheduler, and per-backend collector.
+// Instance is one concrete backend: an engine plus (once the rig
+// attaches them) its patroller, Query Scheduler (Query Scheduler mode
+// only), and collector.
 type Instance struct {
 	id   int
 	spec Spec
@@ -104,8 +104,7 @@ type Instance struct {
 }
 
 // New builds a backend's engine on the shared clock. Control
-// (patroller + scheduler) and metrics attach separately, mirroring the
-// construction order of the single-engine rig.
+// (patroller + scheduler) and metrics are attached by the rig.
 func New(id int, spec Spec, clock *simclock.Clock) *Instance {
 	if id <= 0 {
 		panic(fmt.Sprintf("backend: non-positive backend ID %d", id))
@@ -176,24 +175,4 @@ func (b *Instance) Evacuate() []*engine.Query {
 		out = append(out, b.Pat.EvacuateRetries()...)
 	}
 	return out
-}
-
-// AttachControl wires the backend's admission stack: a patroller over
-// the OLAP classes and a started per-backend Query Scheduler. The
-// scheduler's monitor polls only this backend's engine, so each member
-// of a fleet plans against what actually landed on it.
-func (b *Instance) AttachControl(qsCfg core.Config, classes []*workload.Class,
-	olap []engine.ClassID, oltpClients func() []engine.ClientID) {
-	b.Pat = patroller.New(b.Eng, olap...)
-	qs, err := core.New(qsCfg, b.Eng, b.Pat, classes, oltpClients)
-	if err != nil {
-		panic(err)
-	}
-	b.QS = qs
-	qs.Start()
-}
-
-// AttachCollector builds the backend-local metrics collector.
-func (b *Instance) AttachCollector(classes []*workload.Class, sched workload.Schedule) {
-	b.Collector = metrics.NewCollector(b.Eng, classes, sched)
 }

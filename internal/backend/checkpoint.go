@@ -1,7 +1,6 @@
-// Checkpoint state for one fleet backend: the composed snapshot of its
-// engine, patroller, scheduler, and local collector. The fleet runner
-// stores one of these per backend, in backend-ID order, so restore
-// replays the same construction sequence component by component.
+// Checkpoint state for one backend: the composed snapshot of its
+// engine, patroller, scheduler, and collector. A rig stores one of these
+// per backend, in roster order.
 package backend
 
 import (
@@ -13,29 +12,38 @@ import (
 
 // CheckpointState is the backend's serializable state.
 type CheckpointState struct {
-	Engine    engine.CheckpointState
-	Pat       patroller.CheckpointState
+	Engine engine.CheckpointState
+	Pat    patroller.CheckpointState
+	// HasQS records whether a Query Scheduler was attached (Query
+	// Scheduler mode only).
+	HasQS     bool
 	QS        core.CheckpointState
 	Collector metrics.CheckpointState
 }
 
 // CheckpointState captures the backend at a quiescent boundary.
 func (b *Instance) CheckpointState() CheckpointState {
-	return CheckpointState{
+	st := CheckpointState{
 		Engine:    b.Eng.CheckpointState(),
 		Pat:       b.Pat.CheckpointState(),
-		QS:        b.QS.CheckpointState(),
 		Collector: b.Collector.CheckpointState(),
 	}
+	if b.QS != nil {
+		st.HasQS = true
+		st.QS = b.QS.CheckpointState()
+	}
+	return st
 }
 
 // RestoreCheckpoint overwrites a freshly constructed backend with
-// checkpointed state. Order mirrors the single-rig resume: the engine
-// first (held/active patroller entries re-link to its rebuilt query
-// objects), then the patroller, scheduler, and collector.
+// checkpointed state: the engine first (held/active patroller entries
+// re-link to its rebuilt query objects), then the patroller, scheduler,
+// and collector.
 func (b *Instance) RestoreCheckpoint(st CheckpointState) {
 	b.Eng.RestoreCheckpoint(st.Engine)
 	b.Pat.RestoreCheckpoint(st.Pat)
-	b.QS.RestoreCheckpoint(st.QS)
+	if b.QS != nil {
+		b.QS.RestoreCheckpoint(st.QS)
+	}
 	b.Collector.RestoreCheckpoint(st.Collector)
 }

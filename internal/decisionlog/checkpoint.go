@@ -1,72 +1,42 @@
-// Checkpoint state for the decision-log writer. The pending record is
+// Checkpoint state for the decision-log writer. The pending records are
 // deliberately NOT flushed at capture: the sink offset stays at a
 // written-record boundary, so crash recovery truncates the file to
 // SinkBytes and the resumed writer — restored with the same tick
-// counter and pending record — continues byte-identically.
+// counters and pending records — continues byte-identically.
 package decisionlog
 
-import "sort"
-
-// StreamState is one fleet backend's tick counter and pending record in
-// serialized (sorted-by-backend) form.
-type StreamState struct {
-	Backend    int
-	Tick       int
-	HasPending bool
-	Pending    Record
-}
-
-// CheckpointState is the writer's serializable state. The legacy single
-// stream lives in Tick/HasPending/Pending; fleet backends (1..N) in
-// Streams, sorted by backend ID.
+// CheckpointState is the writer's serializable state: the byte offset
+// and every stream, indexed by backend (0 = the single-backend log).
 type CheckpointState struct {
-	Tick       int
-	SinkBytes  int64
-	HasPending bool
-	Pending    Record
-	Streams    []StreamState
+	SinkBytes int64
+	Streams   []StreamState
 }
 
 // CheckpointState captures the writer at a quiescent boundary.
 func (dw *Writer) CheckpointState() CheckpointState {
-	st := CheckpointState{Tick: dw.tick, SinkBytes: dw.bytes}
-	if dw.pending != nil {
-		st.HasPending = true
-		st.Pending = *dw.pending
-	}
-	for b, tick := range dw.bticks {
-		ss := StreamState{Backend: b, Tick: tick}
-		if p := dw.bpending[b]; p != nil {
-			ss.HasPending = true
-			ss.Pending = *p
-		}
-		st.Streams = append(st.Streams, ss)
-	}
-	sort.Slice(st.Streams, func(i, j int) bool { return st.Streams[i].Backend < st.Streams[j].Backend })
-	return st
+	return CheckpointState{SinkBytes: dw.bytes, Streams: copyStreams(dw.streams)}
 }
 
 // RestoreCheckpoint overwrites a fresh (Resume)Writer with checkpointed
 // state. The caller must have truncated the sink to st.SinkBytes first.
 func (dw *Writer) RestoreCheckpoint(st CheckpointState) {
-	if dw.tick != 0 || dw.pending != nil || dw.bticks != nil {
+	if dw.streams != nil {
 		panic("decisionlog: checkpoint restore onto a used writer")
 	}
-	dw.tick = st.Tick
 	dw.bytes = st.SinkBytes
-	if st.HasPending {
-		p := st.Pending
-		dw.pending = &p
-	}
-	if len(st.Streams) > 0 {
-		dw.bticks = make(map[int]int, len(st.Streams))
-		dw.bpending = make(map[int]*Record, len(st.Streams))
-		for _, ss := range st.Streams {
-			dw.bticks[ss.Backend] = ss.Tick
-			if ss.HasPending {
-				p := ss.Pending
-				dw.bpending[ss.Backend] = &p
-			}
+	dw.streams = copyStreams(st.Streams)
+}
+
+// copyStreams deep-copies the pending records, so the writer's later
+// back-fill of Actual never reaches a captured state.
+func copyStreams(in []StreamState) []StreamState {
+	out := make([]StreamState, len(in))
+	for i, s := range in {
+		out[i].Tick = s.Tick
+		if s.Pending != nil {
+			p := *s.Pending
+			out[i].Pending = &p
 		}
 	}
+	return out
 }

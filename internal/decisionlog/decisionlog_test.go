@@ -74,8 +74,8 @@ func TestWriterBackfillsActual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.Note(testRec(60, 0.45, 0.2))
-	dw.Note(testRec(120, 0.35, 0.3))
+	dw.NoteBackend(0, testRec(60, 0.45, 0.2))
+	dw.NoteBackend(0, testRec(120, 0.35, 0.3))
 	dw.Flush()
 	if dw.Err() != nil {
 		t.Fatal(dw.Err())
@@ -129,15 +129,15 @@ func TestWriterHeldAndDroppedTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.Note(testRec(60, 0.45, 0.2))
+	dw.NoteBackend(0, testRec(60, 0.45, 0.2))
 	held := core.PlanRecord{
 		Time:        simTime(120),
 		Measurement: core.Measurement{Dropped: true},
 		Limits:      solver.Plan{1: 20000, 3: 10000},
 		Held:        true,
 	}
-	dw.Note(held)
-	dw.Note(testRec(180, 0.5, 0.21))
+	dw.NoteBackend(0, held)
+	dw.NoteBackend(0, testRec(180, 0.5, 0.21))
 	dw.Flush()
 
 	var recs []Record
@@ -172,11 +172,11 @@ func TestWriterIdleClassYieldsNoOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.Note(testRec(60, 0.45, 0.2))
+	dw.NoteBackend(0, testRec(60, 0.45, 0.2))
 	next := testRec(120, 0, 0.2)
 	next.Measurement.Idle[1] = true
 	next.Measurement.OLTPSamples = 0
-	dw.Note(next)
+	dw.NoteBackend(0, next)
 	dw.Flush()
 
 	var recs []Record
@@ -206,7 +206,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		fw.Note(r)
+		fw.NoteBackend(0, r)
 	}
 	fw.Flush()
 
@@ -215,15 +215,15 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw.Note(recs[0])
-	cw.Note(recs[1])
+	cw.NoteBackend(0, recs[0])
+	cw.NoteBackend(0, recs[1])
 	st := cw.CheckpointState()
-	if !st.HasPending || st.Tick != 2 {
+	if len(st.Streams) != 1 || st.Streams[0].Pending == nil || st.Streams[0].Tick != 2 {
 		t.Fatalf("checkpoint state: %+v", st)
 	}
 	// Simulate the crash: garbage written after the checkpoint, then the
 	// recovery truncation back to the checkpointed offset.
-	cw.Note(recs[2])
+	cw.NoteBackend(0, recs[2])
 	crash.Truncate(int(st.SinkBytes))
 
 	rw, err := ResumeWriter(&crash, testMeta())
@@ -231,8 +231,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw.RestoreCheckpoint(st)
-	rw.Note(recs[2])
-	rw.Note(recs[3])
+	rw.NoteBackend(0, recs[2])
+	rw.NoteBackend(0, recs[3])
 	rw.Flush()
 
 	if !bytes.Equal(full.Bytes(), crash.Bytes()) {

@@ -75,11 +75,11 @@ func buildTestLog(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.Note(testRec(60, 0.45, 0.2))
+	dw.NoteBackend(0, testRec(60, 0.45, 0.2))
 	rec := testRec(120, 0.35, 0.3)
 	rec.Limits = solver0(18000, 12000)
-	dw.Note(rec)
-	dw.Note(testRec(180, 0.5, 0.21))
+	dw.NoteBackend(0, rec)
+	dw.NoteBackend(0, testRec(180, 0.5, 0.21))
 	dw.Flush()
 	if dw.Err() != nil {
 		t.Fatal(dw.Err())
@@ -194,11 +194,11 @@ func TestWhyHeldTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.Note(testRec(60, 0.45, 0.2))
+	dw.NoteBackend(0, testRec(60, 0.45, 0.2))
 	held := testRec(120, 0, 0)
 	held.Held = true
 	held.Measurement.Dropped = true
-	dw.Note(held)
+	dw.NoteBackend(0, held)
 	dw.Flush()
 
 	var out bytes.Buffer
@@ -297,7 +297,7 @@ func TestAttributeInfeasibleShare(t *testing.T) {
 	rec.Search.Classes[0].Reachable = false
 	rec.Search.Infeasible = true
 	rec.Search.Binding = 1
-	dw.Note(rec)
+	dw.NoteBackend(0, rec)
 	dw.Flush()
 
 	// velocity = 2/10 = 0.2: miss 0.2, of which 0.4-0.3 = 0.1 infeasible;
@@ -463,7 +463,7 @@ func TestAttributeAllAbortedInfeasibleClass(t *testing.T) {
 	rec.Search.Classes[0].Ceiling = 0.3
 	rec.Search.Classes[0].GoalMet = false
 	rec.Search.Classes[0].Reachable = false
-	dw.Note(rec)
+	dw.NoteBackend(0, rec)
 	dw.Flush()
 
 	tr := traceJSONL(

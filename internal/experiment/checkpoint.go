@@ -1,11 +1,13 @@
-// Crash-consistent checkpoint/restore for mixed-workload runs.
+// Crash-consistent checkpoint/restore for mixed-workload runs, one path
+// for every roster size: the snapshot holds one state per backend and
+// one per fault injector, plus the routing tier's when there is one.
 //
 // A checkpoint is taken only at a quiescent boundary — between RunUntil
 // calls, when every event at or before the current time has fired — so
 // each component's state is internally consistent. The snapshot records
 // the run's construction parameters (RunSpec) next to every component's
 // logical state; closures are never serialized. Resume rebuilds the rig
-// by re-running the exact construction sequence RunMixed uses, wipes the
+// through the same buildRig every run uses, wipes the
 // constructor-scheduled clock events wholesale (Clock.Restore), and then
 // re-arms each component's recorded future events with their original
 // (time, seq, id) triples, so FIFO tie-breaking and all later sequence
@@ -23,7 +25,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/decisionlog"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -75,8 +76,8 @@ type RunSpec struct {
 	// Streaming records whether the pool used the streaming client
 	// generator; resume must rebuild it the same way.
 	Streaming bool
-	// Backends records the fleet roster for multi-backend runs (nil for
-	// the classic single-engine rig); resume rebuilds the same fleet.
+	// Backends records the roster as configured (nil or one spec for a
+	// fleet of one); resume rebuilds the same rig.
 	Backends []backend.Spec
 	// NoMitigation records MixedConfig.DisableFleetMitigation; resume
 	// must rebuild the same (absent) failover wiring.
@@ -89,31 +90,25 @@ type runSnapshot struct {
 	Index int // boundary index the snapshot was taken at
 	Clock simclock.State
 
-	Engine     engine.CheckpointState
 	Pool       workload.PoolState
 	Boundaries []workload.BoundaryRef
-	Pat        patroller.CheckpointState
-	Collector  metrics.CheckpointState
-	HasQS      bool
-	QS         core.CheckpointState
-	HasFaults  bool
-	Faults     fault.CheckpointState
-	HasTrace   bool
-	Trace      trace.CheckpointState
-	HasReg     bool
-	Reg        obs.CheckpointState
-	HasDlog    bool
-	Dlog       decisionlog.CheckpointState
-
-	// Fleet sections, populated only when Spec.Backends lists two or more
-	// specs (the Engine/Pat/QS/Collector fields above stay zero then; the
-	// shared sections — Clock, Pool, Boundaries, exports — are reused).
-	FleetBackends []backend.CheckpointState
-	Router        router.CheckpointState
-	Planner       router.PlannerCheckpointState
-	// FleetFaults holds the per-backend injector states in roster order
-	// when the fleet ran a fault plan (HasFaults set, Faults field unused).
-	FleetFaults []fault.CheckpointState
+	// Backends holds one state per roster backend, in roster order.
+	Backends []backend.CheckpointState
+	// Collector is the run-level collector of a fleet of two or more; a
+	// fleet of one shares its backend's collector, saved in Backends.
+	Collector metrics.CheckpointState
+	// Router and Planner are the routing tier (zero for a fleet of one).
+	Router  router.CheckpointState
+	Planner router.PlannerCheckpointState
+	// Faults holds the per-backend injector states in roster order
+	// (empty when the run has no fault plan).
+	Faults   []fault.CheckpointState
+	HasTrace bool
+	Trace    trace.CheckpointState
+	HasReg   bool
+	Reg      obs.CheckpointState
+	HasDlog  bool
+	Dlog     decisionlog.CheckpointState
 }
 
 // solverSpec names a solver for the run spec. Only the built-in
@@ -256,25 +251,26 @@ func validateCheckpointing(cfg MixedConfig) {
 	}
 }
 
-// snapshotRun captures the full simulation state at a quiescent boundary.
-func snapshotRun(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, idx int) *runSnapshot {
+// checkpointState captures the full simulation state at a quiescent
+// boundary.
+func (r *Rig) checkpointState(o *runObs, inst *workload.Installation, spec *RunSpec, idx int) *runSnapshot {
 	snap := &runSnapshot{
 		Spec:       *spec,
 		Index:      idx,
-		Clock:      rig.Clock.State(),
-		Engine:     rig.Eng.CheckpointState(),
-		Pool:       rig.Pool.CheckpointState(),
-		Boundaries: inst.CheckpointState(rig.Clock.Now()),
-		Pat:        rig.Pat.CheckpointState(),
-		Collector:  rig.Collector.CheckpointState(),
+		Clock:      r.Clock.State(),
+		Pool:       r.Pool.CheckpointState(),
+		Boundaries: inst.CheckpointState(r.Clock.Now()),
 	}
-	if rig.QS != nil {
-		snap.HasQS = true
-		snap.QS = rig.QS.CheckpointState()
+	for _, b := range r.Backends {
+		snap.Backends = append(snap.Backends, b.CheckpointState())
 	}
-	if rig.Faults != nil {
-		snap.HasFaults = true
-		snap.Faults = rig.Faults.CheckpointState()
+	if r.Router != nil {
+		snap.Collector = r.Collector.CheckpointState()
+		snap.Router = r.Router.CheckpointState()
+		snap.Planner = r.Planner.CheckpointState()
+	}
+	for _, inj := range r.Faults {
+		snap.Faults = append(snap.Faults, inj.CheckpointState())
 	}
 	if o != nil && o.tracer != nil {
 		snap.HasTrace = true
@@ -291,6 +287,50 @@ func snapshotRun(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec
 	return snap
 }
 
+// restoreCheckpoint overwrites a freshly rebuilt rig with a snapshot:
+// it wipes the constructor-scheduled events and re-arms the recorded
+// ones. Order matters: the clock first (everything re-arms onto it),
+// every engine before the pool (held and active entries re-link to
+// engine-owned query objects).
+func (r *Rig) restoreCheckpoint(snap *runSnapshot, o *runObs) (*workload.Installation, error) {
+	if len(snap.Backends) != len(r.Backends) {
+		return nil, fmt.Errorf("experiment: checkpoint carries %d backends for a %d-backend rig",
+			len(snap.Backends), len(r.Backends))
+	}
+	for i, b := range r.Backends {
+		if snap.Backends[i].HasQS != (b.QS != nil) {
+			return nil, fmt.Errorf("experiment: checkpoint state does not match its run spec")
+		}
+	}
+	if len(snap.Faults) != len(r.Faults) {
+		return nil, fmt.Errorf("experiment: checkpoint fault state does not match its run spec")
+	}
+	r.Clock.Restore(snap.Clock)
+	for i, b := range r.Backends {
+		b.RestoreCheckpoint(snap.Backends[i])
+	}
+	r.Pool.RestoreCheckpoint(snap.Pool)
+	inst := r.Sched.RestoreBoundaries(r.Clock, r.Pool, nil, snap.Boundaries)
+	if r.Router != nil {
+		r.Router.RestoreCheckpoint(snap.Router)
+		r.Planner.RestoreCheckpoint(snap.Planner)
+		r.Collector.RestoreCheckpoint(snap.Collector)
+	}
+	for i, inj := range r.Faults {
+		inj.RestoreCheckpoint(snap.Faults[i])
+	}
+	if o.tracer != nil {
+		o.tracer.RestoreCheckpoint(snap.Trace)
+	}
+	if o.reg != nil && snap.HasReg {
+		o.reg.RestoreCheckpoint(snap.Reg)
+	}
+	if o.dlog != nil {
+		o.dlog.RestoreCheckpoint(snap.Dlog)
+	}
+	return inst, nil
+}
+
 // runBoundaries drives the simulation to the end of the schedule. With
 // checkpointing disabled it is a single RunUntil, exactly as Rig.Run;
 // with checkpointing enabled the run is split at boundary multiples —
@@ -301,7 +341,14 @@ func snapshotRun(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec
 // from); nothing is written or finished after a crash.
 func runBoundaries(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, cfg MixedConfig, startIdx int) (crashed bool, err error) {
 	duration := rig.Sched.Duration()
-	died := func() bool { return rig.Faults != nil && rig.Faults.Crashed() }
+	died := func() bool {
+		for _, inj := range rig.Faults {
+			if inj.Crashed() {
+				return true
+			}
+		}
+		return false
+	}
 	if cfg.CheckpointEvery <= 0 {
 		rig.Clock.RunUntil(duration)
 		return died(), nil
@@ -329,7 +376,7 @@ func runBoundaries(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSp
 			// the resume restores the finished state and only re-emits
 			// the final exports.
 			if !atEnd {
-				snap := snapshotRun(rig, o, inst, spec, idx+1)
+				snap := rig.checkpointState(o, inst, spec, idx+1)
 				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
 					return false, werr
 				}
@@ -337,7 +384,7 @@ func runBoundaries(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSp
 			return false, nil
 		}
 		if (idx+1)%cfg.CheckpointEvery == 0 {
-			snap := snapshotRun(rig, o, inst, spec, idx+1)
+			snap := rig.checkpointState(o, inst, spec, idx+1)
 			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
 				return false, werr
 			}
@@ -462,68 +509,23 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	cfg.CheckpointEvery = opts.CheckpointEvery
 	cfg.CheckpointDir = opts.Dir
 
-	// Fleet checkpoints resume through the fleet runner: same rewound
-	// writers, same snapshot container, different rig shape.
-	if len(cfg.Backends) >= 2 {
-		fres, ferr := resumeFleet(cfg, snap)
-		if ferr != nil {
-			return fail(ferr)
-		}
-		if cerr := closeFiles(); fres.ExportErr == nil {
-			fres.ExportErr = cerr
-		}
-		return fres.MixedResult, nil
-	}
-
-	// Reconstruction must mirror RunMixed exactly (same constructor and
+	// Reconstruction mirrors RunMixed exactly (same constructor and
 	// hook-attachment order), so restored event closures and listener
 	// chains line up with the checkpointed run's.
-	rig, o, obsErr := buildMixedRig(cfg, true)
-	if obsErr != nil {
-		return fail(obsErr)
+	rig, o, err := buildRig(cfg, true)
+	if err != nil {
+		return fail(err)
 	}
-	if (rig.QS != nil) != snap.HasQS || (rig.Faults != nil) != snap.HasFaults {
-		return fail(fmt.Errorf("experiment: checkpoint state does not match its run spec"))
+	inst, err := rig.restoreCheckpoint(snap, o)
+	if err != nil {
+		return fail(err)
 	}
-
-	// Wipe the constructor-scheduled events and re-arm the recorded ones.
-	// Order matters: the clock first (everything re-arms onto it), the
-	// engine before the patroller (held/active entries re-link to the
-	// engine's rebuilt query objects).
-	rig.Clock.Restore(snap.Clock)
-	rig.Eng.RestoreCheckpoint(snap.Engine)
-	rig.Pool.RestoreCheckpoint(snap.Pool)
-	inst := rig.Sched.RestoreBoundaries(rig.Clock, rig.Pool, nil, snap.Boundaries)
-	rig.Pat.RestoreCheckpoint(snap.Pat)
-	if rig.QS != nil {
-		rig.QS.RestoreCheckpoint(snap.QS)
-	}
-	rig.Collector.RestoreCheckpoint(snap.Collector)
-	if rig.Faults != nil {
-		rig.Faults.RestoreCheckpoint(snap.Faults)
-	}
-	if o != nil && o.tracer != nil {
-		o.tracer.RestoreCheckpoint(snap.Trace)
-	}
-	if o != nil && o.reg != nil && snap.HasReg {
-		o.reg.RestoreCheckpoint(snap.Reg)
-	}
-	if o != nil && o.dlog != nil {
-		o.dlog.RestoreCheckpoint(snap.Dlog)
-	}
-
 	spec := snap.Spec
-	crashed, runErr := runBoundaries(rig, o, inst, &spec, cfg, snap.Index)
-	obsErr = runErr
-	if obsErr == nil && !crashed {
-		obsErr = o.finish()
+	fr := runRig(cfg, rig, o, inst, &spec, snap.Index, nil)
+	if cerr := closeFiles(); fr.ExportErr == nil {
+		fr.ExportErr = cerr
 	}
-	if cerr := closeFiles(); obsErr == nil {
-		obsErr = cerr
-	}
-	res := collectMixed(cfg, rig, obsErr)
-	res.Crashed = crashed
-	return res, nil
+	return fr.MixedResult, nil
 }
 
 // rewoundFile is a resume-reopened export file: truncated to the

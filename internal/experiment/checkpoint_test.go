@@ -120,34 +120,55 @@ func checkpointIndices(t *testing.T, dir string) []int {
 
 // The tentpole property: restoring a snapshot from ANY control-tick
 // boundary and running to completion reproduces the uninterrupted run's
-// tables, metrics exposition, and trace file byte for byte — serially
-// and under the parallel runner (checkpoint files are read-only shared
-// state, so concurrent resumes must be race-clean).
+// outputs byte for byte — for the single engine and for a fleet, which
+// share one resume path.
 func TestResumeAtEveryBoundaryIsByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
+	t.Run("single-engine", func(t *testing.T) {
+		dir := t.TempDir()
+		resumeEveryBoundary(t, dir, ckptTestConfig(filepath.Join(dir, "ckpt"), 1))
+	})
+	t.Run("fleet", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := fleetTestConfig()
+		cfg.CheckpointEvery = 2
+		cfg.CheckpointDir = filepath.Join(dir, "ckpt")
+		resumeEveryBoundary(t, dir, cfg)
+	})
+}
+
+// resumeEveryBoundary runs cfg, which must checkpoint into a directory
+// under dir, with its trace, decision log and metrics recorded. It then
+// resumes from every checkpoint the run wrote, serially and under the
+// parallel runner (checkpoint files are read-only shared state, so
+// concurrent resumes must be race-clean), and requires the tables,
+// metrics exposition, trace and decision log to match the uninterrupted
+// run byte for byte. Under -short it samples the first, middle and last
+// boundaries under the parallel runner only.
+func resumeEveryBoundary(t *testing.T, dir string, cfg MixedConfig) {
+	t.Helper()
 	refTrace := filepath.Join(dir, "ref.jsonl")
-	refTables, refMetrics, refTraceBytes := refOutputs(t, ckptTestConfig(ckptDir, 1), refTrace)
-	indices := checkpointIndices(t, ckptDir)
+	refDec := filepath.Join(dir, "ref-decisions.jsonl")
+	refTables, refMetrics, refTraceBytes, refDecBytes := refOutputsWithDecisions(t, cfg, refTrace, refDec)
+	indices := checkpointIndices(t, cfg.CheckpointDir)
 	sort.Ints(indices)
 	pars := []int{1, 8}
 	if testing.Short() {
-		// Race-enabled short runs sample the boundaries (first, middle,
-		// last) under the parallel runner; the full serial + parallel
-		// every-boundary sweep runs without -short.
 		indices = []int{indices[0], indices[len(indices)/2], indices[len(indices)-1]}
 		pars = []int{8}
 	}
 
 	resumeAt := func(idx int, _ int) error {
 		tmp := filepath.Join(dir, fmt.Sprintf("resume-%02d.jsonl", idx))
+		dmp := filepath.Join(dir, fmt.Sprintf("resume-%02d-decisions.jsonl", idx))
 		copyFile(t, refTrace, tmp)
+		copyFile(t, refDec, dmp)
 		var mb bytes.Buffer
 		res, err := ResumeMixed(ResumeOptions{
-			Dir:       ckptDir,
-			Index:     idx,
-			TracePath: tmp,
-			Metrics:   &mb,
+			Dir:           cfg.CheckpointDir,
+			Index:         idx,
+			TracePath:     tmp,
+			DecisionsPath: dmp,
+			Metrics:       &mb,
 		})
 		if err != nil {
 			return fmt.Errorf("boundary %d: %w", idx, err)
@@ -161,12 +182,17 @@ func TestResumeAtEveryBoundaryIsByteIdentical(t *testing.T) {
 		if !bytes.Equal(mb.Bytes(), refMetrics) {
 			return fmt.Errorf("boundary %d: metrics exposition diverged", idx)
 		}
-		tb, err := os.ReadFile(tmp)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(tb, refTraceBytes) {
-			return fmt.Errorf("boundary %d: trace file diverged", idx)
+		for _, f := range []struct {
+			path string
+			want []byte
+		}{{tmp, refTraceBytes}, {dmp, refDecBytes}} {
+			got, err := os.ReadFile(f.path)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, f.want) {
+				return fmt.Errorf("boundary %d: %s diverged", idx, filepath.Base(f.path))
+			}
 		}
 		return nil
 	}

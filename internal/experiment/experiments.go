@@ -299,15 +299,16 @@ type MixedConfig struct {
 	// memory — million-client schedules only pay for the clients a period
 	// actually activates.
 	StreamingClients bool
-	// Backends, when it lists two or more specs, runs the workload on a
-	// fleet: N backends (each with its own engine, patroller, and Query
+	// Backends is the run's roster. Zero or one spec is a fleet of one:
+	// the paper's single engine with no router, no planner and no
+	// backend labels. Two or more specs run the workload on a fleet:
+	// N backends (each with its own engine, patroller, and Query
 	// Scheduler) behind the routing tier, with the hierarchical planner
 	// splitting SystemCostLimit across them by routed demand. Query
 	// Scheduler mode only. Faults and Retry apply per backend: every
 	// backend gets its own injector (seeded per roster ID) and retry
 	// policy, and backend-scoped fault kinds (crash/brownout/dropout)
-	// target roster IDs directly. Zero or one spec takes the classic
-	// single-engine path, byte-identical to a config without this field.
+	// target roster IDs directly.
 	Backends []backend.Spec
 	// DisableFleetMitigation turns off the fleet's failover response:
 	// backend crashes still stall their engines, but the router is never
@@ -324,79 +325,76 @@ func DefaultMixedConfig(mode Mode) MixedConfig {
 	return MixedConfig{Mode: mode, Sched: workload.PaperSchedule(), Seed: 1}
 }
 
-// RunMixed executes one mixed-workload experiment. Two or more backend
-// specs dispatch to the fleet runner (RunFleet); zero or one run the
-// classic single-engine rig.
+// RunMixed executes one mixed-workload experiment on the config's
+// roster: the paper's single engine by default, or a fleet behind the
+// routing tier when Backends lists two or more specs.
 func RunMixed(cfg MixedConfig) *MixedResult {
-	if len(cfg.Backends) >= 2 {
-		return RunFleet(cfg).MixedResult
-	}
-	if cfg.CheckpointEvery > 0 {
-		validateCheckpointing(cfg)
-	}
-	rig, obsAttach, obsErr := buildMixedRig(cfg, false)
-	var spec RunSpec
-	if cfg.CheckpointEvery > 0 {
-		spec = specFromConfig(cfg, rig.Classes)
-	}
-	inst := rig.Sched.Install(rig.Clock, rig.Pool, nil)
-	crashed, runErr := runBoundaries(rig, obsAttach, inst, &spec, cfg, 0)
-	if obsErr == nil {
-		obsErr = runErr
-	}
-	if obsErr == nil && !crashed {
-		obsErr = obsAttach.finish()
-	}
-	res := collectMixed(cfg, rig, obsErr)
-	res.Crashed = crashed
-	return res
+	return RunFleet(cfg).MixedResult
 }
 
-// buildMixedRig runs RunMixed's construction sequence: rig, fault
-// injector, controller, retry policy, observability — in that order.
-// ResumeMixed replays the identical sequence (resume=true switches the
-// tracer to sink re-attachment without a fresh meta line), which is what
-// lets a checkpoint re-arm recorded events onto structurally identical
-// components.
-func buildMixedRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
+// buildRig runs the one construction sequence every mixed run shares:
+// rig, fault injectors, controllers, retry policies, fleet planner,
+// failover wiring, then observability, whose decision-log meta line is
+// the last step before the first simulated event. ResumeMixed replays
+// the identical sequence (resume=true re-attaches the export sinks
+// without fresh meta lines), which is what lets a checkpoint re-arm
+// recorded events onto structurally identical components.
+func buildRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
+	if cfg.Faults != nil {
+		if err := cfg.Faults.ValidateRoster(len(cfg.Backends)); err != nil {
+			panic(err)
+		}
+	}
 	classes := cfg.Classes
 	if classes == nil {
 		classes = workload.PaperClasses()
 	}
-	rig := newRig(cfg.Seed, cfg.Sched, classes, cfg.StreamingClients)
-	qsCfg := cfg.QS
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		inj := fault.NewInjector(*cfg.Faults, rig.Clock)
-		inj.AttachEngine(rig.Eng)
-		rig.Faults = inj
-		if cfg.Mode == QueryScheduler {
-			// Copy the scheduler config (never mutate the caller's) and
-			// point its monitor at the injector so snapshot/harvest drops
-			// land.
-			qc := core.DefaultConfig()
-			qc.SystemCostLimit = SystemCostLimit
-			if qsCfg != nil {
-				qc = *qsCfg
-			}
-			qc.MonitorFaults = inj
-			qsCfg = &qc
-		}
-	}
-	rig.AttachController(cfg.Mode, qsCfg)
+	rig := newRig(cfg.Seed, cfg.Sched, classes, cfg.StreamingClients, cfg.Backends)
+	rig.attachFaults(cfg.Faults)
+	rig.AttachController(cfg.Mode, cfg.QS)
 	if cfg.Retry != nil {
-		rp := *cfg.Retry
-		if rp.RefreshCost == nil && rig.Faults != nil {
-			rp.RefreshCost = rig.Faults.RefreshCost
+		for i, b := range rig.Backends {
+			rp := *cfg.Retry
+			if rp.RefreshCost == nil && rig.Faults != nil {
+				rp.RefreshCost = rig.Faults[i].RefreshCost
+			}
+			b.Pat.SetRetryPolicy(&rp)
 		}
-		rig.Pat.SetRetryPolicy(&rp)
 	}
-	obsAttach, obsErr := attachObs(rig, cfg, cfg.Trace, cfg.Metrics, resume)
-	return rig, obsAttach, obsErr
+	// Migration-before-shedding only arms on faulted, mitigated runs: an
+	// unfaulted fleet keeps the planner behaviour (and output bytes) it
+	// had before the health model existed.
+	mitigate := rig.Faults != nil && !cfg.DisableFleetMitigation
+	rig.startPlanner(mitigate)
+	o := &runObs{}
+	if mitigate {
+		wireFleetMitigation(rig, o)
+	}
+	if err := o.attach(rig, cfg, resume); err != nil {
+		return rig, nil, err
+	}
+	return rig, o, nil
 }
 
-// collectMixed assembles the result tables from a finished (or crashed)
-// rig.
-func collectMixed(cfg MixedConfig, rig *Rig, obsErr error) *MixedResult {
+// runRig drives a built rig from boundary startIdx to the end of the
+// schedule, finishes its exports, and collects the result.
+func runRig(cfg MixedConfig, rig *Rig, o *runObs, inst *workload.Installation, spec *RunSpec, startIdx int, obsErr error) *FleetResult {
+	crashed, runErr := runBoundaries(rig, o, inst, spec, cfg, startIdx)
+	if obsErr == nil {
+		obsErr = runErr
+	}
+	if obsErr == nil && !crashed {
+		obsErr = o.finish()
+	}
+	fr := collect(cfg, rig, obsErr)
+	fr.Crashed = crashed
+	return fr
+}
+
+// collect assembles the result from a finished (or crashed) rig: the
+// period tables from the run-level collector, per-class cost limits
+// summed over the backends' plans, and the per-backend detail.
+func collect(cfg MixedConfig, rig *Rig, obsErr error) *FleetResult {
 	res := &MixedResult{
 		Mode: cfg.Mode,
 		// The collector returns classes sorted by ID, so report columns
@@ -407,25 +405,50 @@ func collectMixed(cfg MixedConfig, rig *Rig, obsErr error) *MixedResult {
 	}
 	fillMixedTables(res, rig.Collector)
 	res.ExportErr = obsErr
-	if rig.Faults != nil {
-		res.Faults = rig.Faults.Stats()
-	}
-	if rig.Pat != nil {
-		res.PatStats = rig.Pat.Stats()
+	for _, inj := range rig.Faults {
+		res.Faults.Add(inj.Stats())
 	}
 
-	if rig.QS != nil {
-		res.PlanHistory = rig.QS.History()
-		// res.Classes (not rig.Classes) keeps limit rows aligned with the
-		// sorted report columns.
-		res.CostLimits = averageLimitsPerPeriod(res.PlanHistory, res.Classes, cfg.Sched)
+	fr := &FleetResult{MixedResult: res, Plans: rig.Plans}
+	if rig.Router != nil {
+		fr.Routed = rig.Router.Routed()
 	}
-	return res
+	for _, b := range rig.Backends {
+		fr.Specs = append(fr.Specs, b.Spec())
+		res.PatStats.Add(b.Pat.Stats())
+		if b.QS != nil {
+			hist := b.QS.History()
+			fr.Histories = append(fr.Histories, hist)
+			// res.Classes (not rig.Classes) keeps limit rows aligned
+			// with the sorted report columns.
+			limits := averageLimitsPerPeriod(hist, res.Classes, cfg.Sched)
+			if res.CostLimits == nil {
+				res.CostLimits = limits
+			} else {
+				for i := range limits {
+					for p := range limits[i] {
+						res.CostLimits[i][p] += limits[i][p]
+					}
+				}
+			}
+		}
+		row := make([]int, res.Periods)
+		for p := range row {
+			for _, cl := range res.Classes {
+				row[p] += b.Collector.Agg(p, cl.ID).Completed
+			}
+		}
+		fr.BackendCompleted = append(fr.BackendCompleted, row)
+	}
+	if len(fr.Histories) == 1 {
+		res.PlanHistory = fr.Histories[0]
+	}
+	return fr
 }
 
-// fillMixedTables populates the per-class period tables of res from a
-// collector — the single-engine rig's, or the fleet-global one that
-// folds every backend's completions into one view.
+// fillMixedTables populates the per-class period tables of res from the
+// run-level collector, which folds every backend's completions into one
+// view.
 func fillMixedTables(res *MixedResult, col *metrics.Collector) {
 	for _, cl := range res.Classes {
 		metricRow := make([]float64, res.Periods)

@@ -2,10 +2,7 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -139,96 +136,13 @@ func TestFleetMitigationOffKeepsRoutingToDeadBackend(t *testing.T) {
 // router health, planner budget state, and the injector's remaining
 // backend events all have to survive the round trip.
 func TestFleetFailoverResumeIsByteIdentical(t *testing.T) {
+	// With a 60s control interval and checkpoints every 2 boundaries, the
+	// boundary times straddle the t=450 crash.
 	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
 	cfg := failoverFleetConfig()
 	cfg.CheckpointEvery = 2
-	cfg.CheckpointDir = ckptDir
-
-	refTrace := filepath.Join(dir, "ref-trace.jsonl")
-	refDec := filepath.Join(dir, "ref-decisions.jsonl")
-	tf, err := os.Create(refTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, err := os.Create(refDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mb bytes.Buffer
-	cfg.Trace = tf
-	cfg.Decisions = df
-	cfg.Metrics = &mb
-	res := RunFleet(cfg)
-	if res.ExportErr != nil {
-		t.Fatal(res.ExportErr)
-	}
-	if err := tf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := df.Close(); err != nil {
-		t.Fatal(err)
-	}
-	refTables := mixedTables(res.MixedResult)
-	refMetrics := append([]byte(nil), mb.Bytes()...)
-	refTraceBytes, err := os.ReadFile(refTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDecBytes, err := os.ReadFile(refDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	indices := checkpointIndices(t, ckptDir)
-	sort.Ints(indices)
-	// The contract needs boundaries on both sides of the t=450 crash;
-	// with a 60s control interval and checkpoints every 2 boundaries,
-	// the boundary times straddle it. Sample first/middle/last under
-	// -short like the unfaulted resume test.
-	if testing.Short() {
-		indices = []int{indices[0], indices[len(indices)/2], indices[len(indices)-1]}
-	}
-	for _, idx := range indices {
-		tmpTrace := filepath.Join(dir, fmt.Sprintf("resume-%02d-trace.jsonl", idx))
-		tmpDec := filepath.Join(dir, fmt.Sprintf("resume-%02d-decisions.jsonl", idx))
-		copyFile(t, refTrace, tmpTrace)
-		copyFile(t, refDec, tmpDec)
-		var rm bytes.Buffer
-		rres, err := ResumeMixed(ResumeOptions{
-			Dir:           ckptDir,
-			Index:         idx,
-			TracePath:     tmpTrace,
-			DecisionsPath: tmpDec,
-			Metrics:       &rm,
-		})
-		if err != nil {
-			t.Fatalf("boundary %d: %v", idx, err)
-		}
-		if rres.ExportErr != nil {
-			t.Fatalf("boundary %d: export: %v", idx, rres.ExportErr)
-		}
-		if got := mixedTables(rres); got != refTables {
-			t.Errorf("boundary %d: period tables diverged", idx)
-		}
-		if !bytes.Equal(rm.Bytes(), refMetrics) {
-			t.Errorf("boundary %d: metrics exposition diverged", idx)
-		}
-		tb, err := os.ReadFile(tmpTrace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(tb, refTraceBytes) {
-			t.Errorf("boundary %d: trace file diverged", idx)
-		}
-		db, err := os.ReadFile(tmpDec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(db, refDecBytes) {
-			t.Errorf("boundary %d: decision log diverged", idx)
-		}
-	}
+	cfg.CheckpointDir = filepath.Join(dir, "ckpt")
+	resumeEveryBoundary(t, dir, cfg)
 }
 
 // The E15 acceptance bar: with one of three backends dead for most of

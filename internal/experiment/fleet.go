@@ -1,67 +1,35 @@
-// The fleet runner: N backends behind the routing tier, driven by the
-// same schedule, clients, and observability stack as the single-engine
-// rig. Construction order is load-bearing exactly as in newRig — resume
-// replays this sequence verbatim so restored clock events and listener
-// chains line up with the checkpointed run's.
+// The fleet side of the one rig: the per-backend result detail, the
+// failover wiring, and the roster's header entries. Every mixed run is
+// built, observed, checkpointed, resumed and collected by the same
+// functions whatever its roster size; a fleet of one simply has no
+// router, planner or backend labels, so its output is the paper's
+// single-engine run byte for byte.
 //
-// The control plane is hierarchical: the fleet planner (router.Planner)
-// splits the global SystemCostLimit across backends proportionally to
-// their smoothed routed-cost demand, and each backend's own Query
-// Scheduler runs the existing per-class solver, unchanged, against its
-// share. A single-backend config never reaches this file — RunMixed
-// dispatches it to the classic rig, byte-identical to before the fleet
-// existed.
+// The control plane of a larger fleet is hierarchical: the fleet planner
+// (router.Planner) splits the global SystemCostLimit across backends
+// proportionally to their smoothed routed-cost demand, and each
+// backend's own Query Scheduler runs the existing per-class solver,
+// unchanged, against its share.
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/backend"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/decisionlog"
-	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/optimizer"
-	"repro/internal/rng"
 	"repro/internal/router"
-	"repro/internal/simclock"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// FleetRig is one fully wired fleet testbed: the shared clock, the
-// backend roster in ID order, the routing tier, and the fleet-global
-// collector that folds every backend's completions into one period ×
-// class view (each backend also keeps its own local collector).
-type FleetRig struct {
-	Clock    *simclock.Clock
-	Backends []*backend.Instance
-	Router   *router.Router
-	Planner  *router.Planner
-	Pool     *workload.Pool
-	Classes  []*workload.Class
-	Sched    workload.Schedule
-	// Collector is the fleet-global view; Backends[i].Collector holds the
-	// per-backend one.
-	Collector *metrics.Collector
-	// Plans records every fleet budget split the planner made.
-	Plans []router.FleetPlan
-	// Faults holds the per-backend fault injectors in roster order (nil
-	// when the run has no fault plan).
-	Faults []*fault.Injector
-}
-
-// FleetResult extends MixedResult (computed from the fleet-global
-// collector, so the period tables mean the same thing as a single-engine
-// run's) with per-backend routing and planning detail.
+// FleetResult extends MixedResult (computed from the run-level
+// collector, so the period tables mean the same thing whatever the
+// roster size) with per-backend routing and planning detail.
 type FleetResult struct {
 	*MixedResult
-	// Specs is the backend roster the fleet ran with.
+	// Specs is the backend roster the run used.
 	Specs []backend.Spec
-	// Routed[i] counts the queries the router sent to roster backend i.
+	// Routed[i] counts the queries the router sent to roster backend i
+	// (nil for a fleet of one, which has no router).
 	Routed []int64
 	// BackendCompleted[i][p] counts roster backend i's completions (all
 	// classes) in period p.
@@ -73,516 +41,82 @@ type FleetResult struct {
 	Histories [][]core.PlanRecord
 }
 
-// validateFleet rejects configurations the fleet runner does not
-// support, feature by feature: the mode must be Query Scheduler (the
-// hierarchical control plane is the point of the fleet), and a fault
-// plan's backend-scoped targets must fit the roster. Class-scoped
-// faults and retry policies are fine — each backend gets its own
-// injector and retry policy.
-func validateFleet(cfg MixedConfig) {
-	if cfg.Mode != QueryScheduler {
-		panic(fmt.Sprintf("experiment: a fleet run requires Query Scheduler mode, got %v", cfg.Mode))
+// RunFleet is RunMixed with the per-backend detail of FleetResult.
+func RunFleet(cfg MixedConfig) *FleetResult {
+	if cfg.CheckpointEvery > 0 {
+		validateCheckpointing(cfg)
 	}
-	if cfg.Faults != nil {
-		if mb := cfg.Faults.MaxBackend(); mb > len(cfg.Backends) {
-			panic(fmt.Sprintf("experiment: fault plan targets backend %d of a %d-backend fleet", mb, len(cfg.Backends)))
-		}
+	rig, o, obsErr := buildRig(cfg, false)
+	var spec RunSpec
+	if cfg.CheckpointEvery > 0 {
+		spec = specFromConfig(cfg, rig.Classes)
 	}
-}
-
-// newFleetRig builds the fleet testbed. The construction order mirrors
-// newRig where the stages overlap (clock, engines, template sets, pool,
-// clients seeded from one rng stream) and appends the fleet-only stages
-// in a fixed order (control per backend in roster order, collectors,
-// planner last — so on each shared tick every backend plans before the
-// fleet re-splits the budget).
-func newFleetRig(cfg MixedConfig) *FleetRig {
-	classes := cfg.Classes
-	if classes == nil {
-		classes = workload.PaperClasses()
-	}
-	clock := simclock.New()
-	instances := make([]*backend.Instance, len(cfg.Backends))
-	engines := make([]*engine.Engine, len(cfg.Backends))
-	roster := make([]backend.Backend, len(cfg.Backends))
-	for i, spec := range cfg.Backends {
-		b := backend.New(i+1, spec, clock)
-		instances[i], engines[i], roster[i] = b, b.Eng, b
-	}
-
-	model := optimizer.DefaultModel()
-	olapSet := workload.NewSet(optimizer.New(model, workload.TPCHCatalog()), workload.TPCHTemplates())
-	oltpSet := workload.NewSet(optimizer.New(model, workload.TPCCCatalog()), workload.TPCCTemplates())
-
-	rt := router.New(roster, router.DefaultScorers())
-	pool := workload.NewRoutedPool(rt, engines)
-	src := rng.New(cfg.Seed)
-	maxClients := cfg.Sched.MaxClients()
-	for _, c := range classes {
-		set := olapSet
-		if c.Kind == workload.OLTP {
-			set = oltpSet
-		}
-		if cfg.StreamingClients {
-			pool.AddClientsStreaming(c, set, maxClients[c.ID], src)
-		} else {
-			pool.AddClients(c, set, maxClients[c.ID], src)
-		}
-	}
-
-	qc := core.DefaultConfig()
-	qc.SystemCostLimit = SystemCostLimit
-	if cfg.QS != nil {
-		qc = *cfg.QS
-	}
-	var olap []engine.ClassID
-	var oltpClients func() []engine.ClientID
-	for _, c := range classes {
-		if c.Kind == workload.OLAP {
-			olap = append(olap, c.ID)
-		} else if oltpClients == nil {
-			id := c.ID
-			oltpClients = func() []engine.ClientID { return pool.ActiveClients(id) }
-		}
-	}
-	// Per-backend fault injectors, in roster order before any control
-	// attaches (mirroring the single-engine sequence rig → injector →
-	// controller). Each backend's injector runs the whole plan against
-	// its own engine with a per-backend rng stream; backend-scoped
-	// events arm only on their target.
-	var injectors []*fault.Injector
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		injectors = make([]*fault.Injector, len(instances))
-		for i, b := range instances {
-			inj := fault.NewBackendInjector(*cfg.Faults, clock, i+1)
-			inj.AttachEngine(b.Eng)
-			injectors[i] = inj
-		}
-	}
-	for i, b := range instances {
-		qcb := qc
-		if injectors != nil {
-			// Each scheduler's monitor drops snapshots/harvests through its
-			// own backend's injector (dropouts are backend-scoped).
-			qcb.MonitorFaults = injectors[i]
-		}
-		b.AttachControl(qcb, classes, olap, oltpClients)
-		if cfg.Retry != nil {
-			rp := *cfg.Retry
-			if rp.RefreshCost == nil && injectors != nil {
-				rp.RefreshCost = injectors[i].RefreshCost
-			}
-			b.Pat.SetRetryPolicy(&rp)
-		}
-	}
-	for _, b := range instances {
-		b.AttachCollector(classes, cfg.Sched)
-	}
-	global := metrics.NewCollector(engines[0], classes, cfg.Sched)
-	for _, e := range engines[1:] {
-		global.Attach(e)
-	}
-
-	frig := &FleetRig{
-		Clock:     clock,
-		Backends:  instances,
-		Router:    rt,
-		Pool:      pool,
-		Classes:   classes,
-		Sched:     cfg.Sched,
-		Collector: global,
-		Faults:    injectors,
-	}
-	// The per-backend control interval is the fleet planning interval:
-	// read it back validated from an attached scheduler rather than
-	// trusting the raw config.
-	qcv := instances[0].QS.Config()
-	frig.Planner = router.StartPlanner(clock, rt, instances, router.PlannerConfig{
-		Interval: qcv.ControlInterval,
-		Total:    qcv.SystemCostLimit,
-		// Migration-before-shedding only arms on faulted, mitigated runs:
-		// an unfaulted fleet keeps the exact planner behaviour (and
-		// output bytes) it had before the health model existed.
-		Migrate: injectors != nil && !cfg.DisableFleetMitigation,
-	})
-	frig.Planner.OnPlan(func(fp router.FleetPlan) { frig.Plans = append(frig.Plans, fp) })
-	return frig
+	inst := rig.Sched.Install(rig.Clock, rig.Pool, nil)
+	return runRig(cfg, rig, o, inst, &spec, 0, obsErr)
 }
 
 // wireFleetMitigation installs the failover response: the injectors'
 // backend-scoped transitions drive the router's health model, and every
 // availability or mitigation event lands in the decision log as a fleet
-// record. With mitigation disabled nothing is wired — crashes still
-// stall their engines (capacity is really lost), but the router is
-// never told and the planner keeps feeding the dead backend its
-// demand-weighted share; the decision log then carries no fleet records
-// at all, which is itself the signature of the control arm.
-func wireFleetMitigation(frig *FleetRig, o *runObs, cfg MixedConfig) {
-	if frig.Faults == nil || cfg.DisableFleetMitigation {
+// record once the log is attached. buildRig skips it with mitigation
+// disabled — crashes still stall their engines (capacity is really
+// lost), but the router is never told and the planner keeps feeding the
+// dead backend its demand-weighted share; the decision log then carries
+// no fleet records at all, which is itself the signature of the control
+// arm.
+func wireFleetMitigation(rig *Rig, o *runObs) {
+	if rig.Router == nil {
 		return
 	}
 	note := func(fr decisionlog.FleetRecord) {
-		if o != nil && o.dlog != nil {
-			fr.T = float64(frig.Clock.Now())
+		if o.dlog != nil {
 			o.dlog.NoteFleet(fr)
 		}
 	}
-	for i, inj := range frig.Faults {
-		id := frig.Backends[i].ID()
+	at := func() float64 { return float64(rig.Clock.Now()) }
+	for i, inj := range rig.Faults {
+		id := rig.Backends[i].ID()
 		inj.SetFleetHooks(fault.FleetHooks{
 			Down: func() {
-				moved := frig.Router.MarkDown(id)
-				note(decisionlog.FleetRecord{Event: "failover", Backend: id, Moved: moved})
+				moved := rig.Router.MarkDown(id)
+				note(decisionlog.FleetRecord{T: at(), Event: "failover", Backend: id, Moved: moved})
 			},
 			Up: func() {
-				frig.Router.MarkUp(id)
-				note(decisionlog.FleetRecord{Event: "recover", Backend: id})
+				rig.Router.MarkUp(id)
+				note(decisionlog.FleetRecord{T: at(), Event: "recover", Backend: id})
 			},
 			Degraded: func(f float64) {
-				frig.Router.MarkDegraded(id, f)
-				note(decisionlog.FleetRecord{Event: "degraded", Backend: id, Factor: f})
+				rig.Router.MarkDegraded(id, f)
+				note(decisionlog.FleetRecord{T: at(), Event: "degraded", Backend: id, Factor: f})
 			},
 			Restored: func() {
-				frig.Router.ClearDegraded(id)
-				note(decisionlog.FleetRecord{Event: "restored", Backend: id})
+				rig.Router.ClearDegraded(id)
+				note(decisionlog.FleetRecord{T: at(), Event: "restored", Backend: id})
 			},
 		})
 	}
-	if o != nil && o.dlog != nil {
-		dw := o.dlog
-		frig.Planner.OnDecision(func(d router.FleetDecision) {
-			dw.NoteFleet(decisionlog.FleetRecord{
-				T:       float64(d.Time),
-				Event:   d.Event,
-				Backend: d.Backend,
-				Class:   int(d.Class),
-				Target:  d.Target,
-			})
+	rig.Planner.OnDecision(func(d router.FleetDecision) {
+		note(decisionlog.FleetRecord{
+			T:       float64(d.Time),
+			Event:   d.Event,
+			Backend: d.Backend,
+			Class:   int(d.Class),
+			Target:  d.Target,
 		})
-	}
+	})
 }
 
 // backendsMeta resolves the roster into the trace/decision-log header
-// entry: 1-based ID, label, and resolved capacities.
-func backendsMeta(specs []backend.Spec) []trace.BackendMeta {
-	out := make([]trace.BackendMeta, len(specs))
-	for i, s := range specs {
-		ec := s.EngineConfig()
-		out[i] = trace.BackendMeta{ID: i + 1, Name: s.Name, CPU: ec.CPUCapacity, IO: ec.IOCapacity}
+// entry: 1-based ID, label, and resolved capacities. A fleet of one has
+// none, keeping its headers those of the paper's single engine.
+func (r *Rig) backendsMeta() []trace.BackendMeta {
+	if r.Router == nil {
+		return nil
+	}
+	out := make([]trace.BackendMeta, len(r.Backends))
+	for i, b := range r.Backends {
+		ec := b.Spec().EngineConfig()
+		out[i] = trace.BackendMeta{ID: b.ID(), Name: b.Name(), CPU: ec.CPUCapacity, IO: ec.IOCapacity}
 	}
 	return out
-}
-
-// attachFleetObs mirrors attachObs for a fleet: one tracer, one
-// registry, one decision log — all streams carry the backend dimension.
-// Attachment order (trace, metrics, decisions; backends in roster order
-// within each) is part of the resume contract.
-func attachFleetObs(frig *FleetRig, cfg MixedConfig, resume bool) (*runObs, error) {
-	o := &runObs{}
-	if cfg.Trace != nil {
-		tr := trace.New(traceRingCap)
-		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
-		if resume {
-			if err := tr.ResumeJSONL(cfg.Trace); err != nil {
-				return nil, err
-			}
-		} else {
-			meta := traceMeta(cfg, frig.Classes)
-			meta.Backends = backendsMeta(cfg.Backends)
-			if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
-				return nil, err
-			}
-		}
-		for _, b := range frig.Backends {
-			trace.AttachEngine(tr, b.Eng)
-			trace.AttachPatroller(tr, b.Pat, frig.Clock)
-		}
-		// Routing decisions are traced; per-backend plan changes are not
-		// (the trace's plan events carry no backend dimension — the
-		// decision log is the per-backend planning record).
-		trace.AttachRouter(tr, frig.Router, frig.Clock)
-		o.tracer = tr
-	}
-	if cfg.Metrics != nil {
-		reg := obs.New(func() float64 { return frig.Clock.Now() })
-		for _, b := range frig.Backends {
-			instrumentEngine(reg, b.Eng, frig.Classes, obs.L("backend", b.Name()))
-		}
-		o.reg = reg
-		o.mw = cfg.Metrics
-	}
-	if cfg.Decisions != nil {
-		qc := frig.Backends[0].QS.Config()
-		meta := decisionlog.Meta{
-			Experiment:      cfg.Experiment,
-			Seed:            int64(cfg.Seed),
-			ControlInterval: qc.ControlInterval,
-			SLOWindow:       qc.SLOWindow,
-			SLOBudget:       qc.SLOBudget,
-			Classes:         decisionlog.ClassesMeta(frig.Classes),
-		}
-		if meta.Experiment == "" {
-			meta.Experiment = cfg.Mode.String()
-		}
-		for _, bm := range backendsMeta(cfg.Backends) {
-			meta.Backends = append(meta.Backends, decisionlog.BackendMeta(bm))
-		}
-		var dw *decisionlog.Writer
-		var err error
-		if resume {
-			dw, err = decisionlog.ResumeWriter(cfg.Decisions, meta)
-		} else {
-			dw, err = decisionlog.NewWriter(cfg.Decisions, meta)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range frig.Backends {
-			id := b.ID()
-			b.QS.OnPlan(func(rec core.PlanRecord) { dw.NoteBackend(id, rec) })
-		}
-		o.dlog = dw
-	}
-	return o, nil
-}
-
-// buildFleetRig is the fleet counterpart of buildMixedRig: rig,
-// observability, then the mitigation wiring (which needs both), in the
-// order resume replays.
-func buildFleetRig(cfg MixedConfig, resume bool) (*FleetRig, *runObs, error) {
-	frig := newFleetRig(cfg)
-	o, err := attachFleetObs(frig, cfg, resume)
-	if err != nil {
-		return frig, o, err
-	}
-	wireFleetMitigation(frig, o, cfg)
-	return frig, o, nil
-}
-
-// snapshotFleet captures the full fleet state at a quiescent boundary.
-// It reuses the single-engine snapshot container: the shared sections
-// (clock, pool, boundaries, global collector, exports) land in their
-// usual fields, and the per-backend stacks plus router/planner state
-// fill the fleet sections.
-func snapshotFleet(frig *FleetRig, o *runObs, inst *workload.Installation, spec *RunSpec, idx int) *runSnapshot {
-	snap := &runSnapshot{
-		Spec:       *spec,
-		Index:      idx,
-		Clock:      frig.Clock.State(),
-		Pool:       frig.Pool.CheckpointState(),
-		Boundaries: inst.CheckpointState(frig.Clock.Now()),
-		Collector:  frig.Collector.CheckpointState(),
-		Router:     frig.Router.CheckpointState(),
-		Planner:    frig.Planner.CheckpointState(),
-	}
-	for _, b := range frig.Backends {
-		snap.FleetBackends = append(snap.FleetBackends, b.CheckpointState())
-	}
-	if frig.Faults != nil {
-		snap.HasFaults = true
-		for _, inj := range frig.Faults {
-			snap.FleetFaults = append(snap.FleetFaults, inj.CheckpointState())
-		}
-	}
-	if o != nil && o.tracer != nil {
-		snap.HasTrace = true
-		snap.Trace = o.tracer.CheckpointState()
-	}
-	if o != nil && o.reg != nil {
-		snap.HasReg = true
-		snap.Reg = o.reg.CheckpointState()
-	}
-	if o != nil && o.dlog != nil {
-		snap.HasDlog = true
-		snap.Dlog = o.dlog.CheckpointState()
-	}
-	return snap
-}
-
-// runFleetBoundaries drives a fleet run to the end of the schedule,
-// mirroring runBoundaries: a run-level fault-plan crash on any backend
-// stops the clock mid-run (crashed=true; nothing written or finished
-// after it), for the recovery experiments to resume from.
-func runFleetBoundaries(frig *FleetRig, o *runObs, inst *workload.Installation, spec *RunSpec, cfg MixedConfig, startIdx int) (crashed bool, err error) {
-	duration := frig.Sched.Duration()
-	died := func() bool {
-		for _, inj := range frig.Faults {
-			if inj.Crashed() {
-				return true
-			}
-		}
-		return false
-	}
-	if cfg.CheckpointEvery <= 0 {
-		frig.Clock.RunUntil(duration)
-		return died(), nil
-	}
-	step := boundaryStep(cfg)
-	// As in runBoundaries: a resume that restored a terminal snapshot must
-	// not write a second terminal snapshot at a higher index.
-	atEnd := float64(startIdx)*step >= duration
-	for idx := startIdx; ; idx++ {
-		t := float64(idx+1) * step
-		last := t >= duration
-		if last {
-			t = duration
-		}
-		frig.Clock.RunUntil(t)
-		if died() {
-			return true, nil
-		}
-		if last {
-			if !atEnd {
-				snap := snapshotFleet(frig, o, inst, spec, idx+1)
-				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
-					return false, werr
-				}
-			}
-			return false, nil
-		}
-		if (idx+1)%cfg.CheckpointEvery == 0 {
-			snap := snapshotFleet(frig, o, inst, spec, idx+1)
-			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
-				return false, werr
-			}
-		}
-	}
-}
-
-// collectFleet assembles the result from a finished fleet: the standard
-// mixed tables from the fleet-global collector, fleet-wide per-class
-// cost limits as the sum of the per-backend plans, and the per-backend
-// routing/planning detail.
-func collectFleet(cfg MixedConfig, frig *FleetRig, obsErr error) *FleetResult {
-	res := &MixedResult{
-		Mode:    cfg.Mode,
-		Classes: frig.Collector.Classes(),
-		Periods: cfg.Sched.Periods(),
-	}
-	fillMixedTables(res, frig.Collector)
-	res.ExportErr = obsErr
-	for _, inj := range frig.Faults {
-		res.Faults.Add(inj.Stats())
-	}
-	for _, b := range frig.Backends {
-		res.PatStats.Add(b.Pat.Stats())
-	}
-
-	fr := &FleetResult{
-		MixedResult: res,
-		Specs:       append([]backend.Spec(nil), cfg.Backends...),
-		Routed:      frig.Router.Routed(),
-		Plans:       frig.Plans,
-	}
-	for _, b := range frig.Backends {
-		hist := b.QS.History()
-		fr.Histories = append(fr.Histories, hist)
-		limits := averageLimitsPerPeriod(hist, res.Classes, cfg.Sched)
-		if res.CostLimits == nil {
-			res.CostLimits = limits
-		} else {
-			for i := range limits {
-				for p := range limits[i] {
-					res.CostLimits[i][p] += limits[i][p]
-				}
-			}
-		}
-		row := make([]int, res.Periods)
-		for p := 0; p < res.Periods; p++ {
-			for _, cl := range res.Classes {
-				row[p] += b.Collector.Agg(p, cl.ID).Completed
-			}
-		}
-		fr.BackendCompleted = append(fr.BackendCompleted, row)
-	}
-	return fr
-}
-
-// RunFleet executes one mixed-workload experiment on a fleet of two or
-// more backends behind the routing tier. RunMixed dispatches here
-// automatically; call it directly when the per-backend detail in
-// FleetResult is wanted.
-func RunFleet(cfg MixedConfig) *FleetResult {
-	if len(cfg.Backends) < 2 {
-		panic(fmt.Sprintf("experiment: RunFleet needs at least 2 backend specs, got %d", len(cfg.Backends)))
-	}
-	validateFleet(cfg)
-	if cfg.CheckpointEvery > 0 {
-		validateCheckpointing(cfg)
-	}
-	frig, o, obsErr := buildFleetRig(cfg, false)
-	var spec RunSpec
-	if cfg.CheckpointEvery > 0 {
-		spec = specFromConfig(cfg, frig.Classes)
-	}
-	inst := frig.Sched.Install(frig.Clock, frig.Pool, nil)
-	crashed, runErr := runFleetBoundaries(frig, o, inst, &spec, cfg, 0)
-	if obsErr == nil {
-		obsErr = runErr
-	}
-	if obsErr == nil && !crashed {
-		obsErr = o.finish()
-	}
-	fr := collectFleet(cfg, frig, obsErr)
-	fr.Crashed = crashed
-	return fr
-}
-
-// resumeFleet restores a fleet checkpoint onto a freshly rebuilt fleet
-// rig and drives the run to completion. The restore order mirrors the
-// single-engine resume: clock first, every engine before the pool (held
-// and active entries re-link to engine-owned query objects), control
-// stacks after the boundaries, collectors last.
-func resumeFleet(cfg MixedConfig, snap *runSnapshot) (*FleetResult, error) {
-	frig, o, obsErr := buildFleetRig(cfg, true)
-	if obsErr != nil {
-		return nil, obsErr
-	}
-	if len(snap.FleetBackends) != len(frig.Backends) {
-		return nil, fmt.Errorf("experiment: checkpoint carries %d backends for a %d-backend fleet",
-			len(snap.FleetBackends), len(frig.Backends))
-	}
-	if snap.HasFaults != (frig.Faults != nil) || len(snap.FleetFaults) != len(frig.Faults) {
-		return nil, fmt.Errorf("experiment: checkpoint fault state does not match its run spec")
-	}
-	frig.Clock.Restore(snap.Clock)
-	for i, b := range frig.Backends {
-		b.Eng.RestoreCheckpoint(snap.FleetBackends[i].Engine)
-	}
-	frig.Pool.RestoreCheckpoint(snap.Pool)
-	inst := frig.Sched.RestoreBoundaries(frig.Clock, frig.Pool, nil, snap.Boundaries)
-	for i, b := range frig.Backends {
-		b.Pat.RestoreCheckpoint(snap.FleetBackends[i].Pat)
-	}
-	for i, b := range frig.Backends {
-		b.QS.RestoreCheckpoint(snap.FleetBackends[i].QS)
-	}
-	frig.Router.RestoreCheckpoint(snap.Router)
-	frig.Planner.RestoreCheckpoint(snap.Planner)
-	for i, b := range frig.Backends {
-		b.Collector.RestoreCheckpoint(snap.FleetBackends[i].Collector)
-	}
-	frig.Collector.RestoreCheckpoint(snap.Collector)
-	for i, inj := range frig.Faults {
-		inj.RestoreCheckpoint(snap.FleetFaults[i])
-	}
-	if o.tracer != nil {
-		o.tracer.RestoreCheckpoint(snap.Trace)
-	}
-	if o.reg != nil && snap.HasReg {
-		o.reg.RestoreCheckpoint(snap.Reg)
-	}
-	if o.dlog != nil {
-		o.dlog.RestoreCheckpoint(snap.Dlog)
-	}
-
-	spec := snap.Spec
-	crashed, runErr := runFleetBoundaries(frig, o, inst, &spec, cfg, snap.Index)
-	obsErr = runErr
-	if obsErr == nil && !crashed {
-		obsErr = o.finish()
-	}
-	fr := collectFleet(cfg, frig, obsErr)
-	fr.Crashed = crashed
-	return fr, nil
 }

@@ -2,16 +2,14 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/decisionlog"
 	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/patroller"
 	"repro/internal/workload"
 )
 
@@ -48,9 +46,12 @@ func fleetOutputs(t *testing.T, cfg MixedConfig) (*FleetResult, []byte, []byte) 
 	return res, tb.Bytes(), db.Bytes()
 }
 
-// A single default backend spec must take the classic single-engine
-// path: trace and decision log byte-identical to a config that never
-// mentions backends. This is what keeps `-backends 1` a no-op.
+// A single default backend spec is a fleet of one: trace, decision log,
+// metrics exposition and tables byte-identical to a config that never
+// mentions backends. This is what keeps `-backends 1` a no-op. The
+// faulted case pins the rest of the fleet-of-one contract: the classic
+// injector seed stream (abort draws would shift otherwise) and no
+// backend label on any metric.
 func TestSingleBackendSpecIsByteIdenticalToLegacy(t *testing.T) {
 	base := MixedConfig{
 		Mode:       QueryScheduler,
@@ -58,29 +59,56 @@ func TestSingleBackendSpecIsByteIdenticalToLegacy(t *testing.T) {
 		Seed:       3,
 		Experiment: "legacy-equivalence",
 	}
-	run := func(cfg MixedConfig) ([]byte, []byte, *MixedResult) {
-		var tb, db bytes.Buffer
-		cfg.Trace = &tb
-		cfg.Decisions = &db
+	faulted := base
+	faulted.Faults = &fault.Plan{
+		Seed:        11,
+		AbortRate:   map[engine.ClassID]float64{1: 0.1},
+		Misestimate: map[engine.ClassID]float64{2: 2},
+		Slowdowns:   []fault.Slowdown{{Window: fault.Window{Start: 200, End: 400}, Factor: 0.5}},
+	}
+	faulted.Retry = &patroller.RetryPolicy{MaxAttempts: 2, Backoff: 30}
+
+	type outputs struct {
+		trace, dec, metrics []byte
+		tables              string
+	}
+	run := func(cfg MixedConfig) outputs {
+		var tb, db, mb bytes.Buffer
+		cfg.Trace, cfg.Decisions, cfg.Metrics = &tb, &db, &mb
 		res := RunMixed(cfg)
 		if res.ExportErr != nil {
 			t.Fatal(res.ExportErr)
 		}
-		return tb.Bytes(), db.Bytes(), res
+		return outputs{tb.Bytes(), db.Bytes(), mb.Bytes(), mixedTables(res)}
 	}
-	legacyTrace, legacyDec, legacyRes := run(base)
-	speced := base
-	speced.Backends = backend.DefaultSpecs(1)
-	specTrace, specDec, specRes := run(speced)
+	for _, c := range []struct {
+		name string
+		cfg  MixedConfig
+	}{{"plain", base}, {"faulted", faulted}} {
+		name, cfg := c.name, c.cfg
+		legacy := run(cfg)
+		speced := cfg
+		speced.Backends = backend.DefaultSpecs(1)
+		spec := run(speced)
 
-	if !bytes.Equal(legacyTrace, specTrace) {
-		t.Error("one default backend spec changed the trace bytes")
-	}
-	if !bytes.Equal(legacyDec, specDec) {
-		t.Error("one default backend spec changed the decision log bytes")
-	}
-	if mixedTables(legacyRes) != mixedTables(specRes) {
-		t.Error("one default backend spec changed the period tables")
+		if !bytes.Equal(legacy.trace, spec.trace) {
+			t.Errorf("%s: one default backend spec changed the trace bytes", name)
+		}
+		if !bytes.Equal(legacy.dec, spec.dec) {
+			t.Errorf("%s: one default backend spec changed the decision log bytes", name)
+		}
+		if !bytes.Equal(legacy.metrics, spec.metrics) {
+			t.Errorf("%s: one default backend spec changed the metrics exposition", name)
+		}
+		if legacy.tables != spec.tables {
+			t.Errorf("%s: one default backend spec changed the period tables", name)
+		}
+		if bytes.Contains(spec.metrics, []byte("backend=")) {
+			t.Errorf("%s: a fleet of one labelled its metrics with a backend", name)
+		}
+		if name == "faulted" && !bytes.Contains(spec.metrics, []byte("fault_injected_total")) {
+			t.Errorf("%s: the fault plan injected nothing", name)
+		}
 	}
 }
 
@@ -159,100 +187,6 @@ func TestFleetDecisionLogSummarizesPerBackend(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet summary missing %q\n%s", want, out)
-		}
-	}
-}
-
-// Resuming a fleet checkpoint from any boundary must reproduce the
-// uninterrupted run's outputs byte for byte, exactly like the
-// single-engine resume contract.
-func TestFleetResumeIsByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
-	cfg := fleetTestConfig()
-	cfg.CheckpointEvery = 2
-	cfg.CheckpointDir = ckptDir
-
-	refTrace := filepath.Join(dir, "ref-trace.jsonl")
-	refDec := filepath.Join(dir, "ref-decisions.jsonl")
-	tf, err := os.Create(refTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, err := os.Create(refDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mb bytes.Buffer
-	cfg.Trace = tf
-	cfg.Decisions = df
-	cfg.Metrics = &mb
-	res := RunFleet(cfg)
-	if res.ExportErr != nil {
-		t.Fatal(res.ExportErr)
-	}
-	if err := tf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := df.Close(); err != nil {
-		t.Fatal(err)
-	}
-	refTables := mixedTables(res.MixedResult)
-	refMetrics := append([]byte(nil), mb.Bytes()...)
-	refTraceBytes, err := os.ReadFile(refTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDecBytes, err := os.ReadFile(refDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	indices := checkpointIndices(t, ckptDir)
-	sort.Ints(indices)
-	if testing.Short() {
-		// Sample the boundaries (first, middle, last) under -short; the
-		// full every-boundary sweep runs without it.
-		indices = []int{indices[0], indices[len(indices)/2], indices[len(indices)-1]}
-	}
-	for _, idx := range indices {
-		tmpTrace := filepath.Join(dir, fmt.Sprintf("resume-%02d-trace.jsonl", idx))
-		tmpDec := filepath.Join(dir, fmt.Sprintf("resume-%02d-decisions.jsonl", idx))
-		copyFile(t, refTrace, tmpTrace)
-		copyFile(t, refDec, tmpDec)
-		var rm bytes.Buffer
-		rres, err := ResumeMixed(ResumeOptions{
-			Dir:           ckptDir,
-			Index:         idx,
-			TracePath:     tmpTrace,
-			DecisionsPath: tmpDec,
-			Metrics:       &rm,
-		})
-		if err != nil {
-			t.Fatalf("boundary %d: %v", idx, err)
-		}
-		if rres.ExportErr != nil {
-			t.Fatalf("boundary %d: export: %v", idx, rres.ExportErr)
-		}
-		if got := mixedTables(rres); got != refTables {
-			t.Errorf("boundary %d: period tables diverged", idx)
-		}
-		if !bytes.Equal(rm.Bytes(), refMetrics) {
-			t.Errorf("boundary %d: metrics exposition diverged", idx)
-		}
-		tb, err := os.ReadFile(tmpTrace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(tb, refTraceBytes) {
-			t.Errorf("boundary %d: trace file diverged", idx)
-		}
-		db, err := os.ReadFile(tmpDec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(db, refDecBytes) {
-			t.Errorf("boundary %d: decision log diverged", idx)
 		}
 	}
 }

@@ -273,43 +273,7 @@ func TestGoldenResumeSurvivesPooling(t *testing.T) {
 		t.Skip("every-boundary resume sweep is slow under -race")
 	}
 	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
-	refTrace := filepath.Join(dir, "ref.jsonl")
-	refDec := filepath.Join(dir, "ref-decisions.jsonl")
-	cfg := ckptTestConfig(ckptDir, 1)
+	cfg := ckptTestConfig(filepath.Join(dir, "ckpt"), 1)
 	cfg.StreamingClients = true
-	refTables, refMetrics, refTraceBytes, refDecBytes := refOutputsWithDecisions(t, cfg, refTrace, refDec)
-	for _, idx := range checkpointIndices(t, ckptDir) {
-		tmp := filepath.Join(dir, fmt.Sprintf("resume-%02d.jsonl", idx))
-		dmp := filepath.Join(dir, fmt.Sprintf("resume-%02d-decisions.jsonl", idx))
-		copyFile(t, refTrace, tmp)
-		copyFile(t, refDec, dmp)
-		var mb bytes.Buffer
-		res, err := ResumeMixed(ResumeOptions{
-			Dir: ckptDir, Index: idx, TracePath: tmp, DecisionsPath: dmp, Metrics: &mb,
-		})
-		if err != nil {
-			t.Fatalf("boundary %d: %v", idx, err)
-		}
-		if got := mixedTables(res); got != refTables {
-			t.Errorf("boundary %d: period tables diverged", idx)
-		}
-		if !bytes.Equal(mb.Bytes(), refMetrics) {
-			t.Errorf("boundary %d: metrics exposition diverged", idx)
-		}
-		tb, err := os.ReadFile(tmp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(tb, refTraceBytes) {
-			t.Errorf("boundary %d: trace file diverged", idx)
-		}
-		db, err := os.ReadFile(dmp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(db, refDecBytes) {
-			t.Errorf("boundary %d: decision log diverged", idx)
-		}
-	}
+	resumeEveryBoundary(t, dir, cfg)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/decisionlog"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -31,65 +32,92 @@ type runObs struct {
 	dlog   *decisionlog.Writer
 }
 
-// attachObs wires trace export and metrics onto a rig whose controller is
-// already attached (hooks chain on top of the monitor's). Call before
-// rig.Run; nil writers disable the respective output. With resume=true
-// the tracer attaches its sink without writing a meta line — the resumed
-// trace file already carries the original header.
-func attachObs(rig *Rig, cfg MixedConfig, tw, mw io.Writer, resume bool) (*runObs, error) {
-	o := &runObs{}
-	if tw != nil {
+// attach wires trace export, metrics and the decision log onto a rig
+// whose controllers are already attached (hooks chain on top of the
+// monitors'), backends in roster order within each. Attachment order is
+// part of the resume contract. Nil writers disable the respective
+// output. With resume=true the sinks attach without writing meta lines —
+// the resumed files already carry the original headers. A fleet of one
+// exports exactly the paper's single-engine streams: no backend meta, no
+// backend labels, decision-log stream 0.
+func (o *runObs) attach(rig *Rig, cfg MixedConfig, resume bool) error {
+	if cfg.Trace != nil {
 		tr := trace.New(traceRingCap)
 		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
 		if resume {
-			if err := tr.ResumeJSONL(tw); err != nil {
-				return nil, err
+			if err := tr.ResumeJSONL(cfg.Trace); err != nil {
+				return err
 			}
-		} else if err := tr.StreamJSONL(tw, traceMeta(cfg, rig.Classes)); err != nil {
-			return nil, err
+		} else {
+			meta := traceMeta(cfg, rig.Classes)
+			meta.Backends = rig.backendsMeta()
+			if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
+				return err
+			}
 		}
-		trace.AttachEngine(tr, rig.Eng)
-		if rig.Pat != nil {
-			trace.AttachPatroller(tr, rig.Pat, rig.Clock)
+		for _, b := range rig.Backends {
+			trace.AttachEngine(tr, b.Eng)
+			if b.Pat != nil {
+				trace.AttachPatroller(tr, b.Pat, rig.Clock)
+			}
 		}
-		if rig.QS != nil {
+		// A fleet traces its routing decisions; its per-backend plan
+		// changes are not traced (the trace's plan events carry no
+		// backend dimension — the decision log is the per-backend
+		// planning record).
+		if rig.Router != nil {
+			trace.AttachRouter(tr, rig.Router, rig.Clock)
+		} else if rig.QS != nil {
 			trace.AttachScheduler(tr, rig.QS)
 		}
 		o.tracer = tr
 	}
-	if mw != nil {
+	if cfg.Metrics != nil {
 		reg := obs.New(func() float64 { return rig.Clock.Now() })
-		instrumentEngine(reg, rig.Eng, rig.Classes)
-		if rig.Faults != nil {
-			instrumentFaults(reg, rig.Faults)
-		}
-		if rig.Pat != nil {
-			instrumentRetries(reg, rig.Pat)
-		}
-		if rig.QS != nil {
-			rig.QS.Instrument(reg)
+		if rig.Router != nil {
+			for _, b := range rig.Backends {
+				instrumentEngine(reg, b.Eng, rig.Classes, obs.L("backend", b.Name()))
+			}
+		} else {
+			instrumentEngine(reg, rig.Eng, rig.Classes)
+			if rig.Faults != nil {
+				instrumentFaults(reg, rig.Faults[0])
+			}
+			if rig.Pat != nil {
+				instrumentRetries(reg, rig.Pat)
+			}
+			if rig.QS != nil {
+				rig.QS.Instrument(reg)
+			}
 		}
 		o.reg = reg
-		o.mw = mw
+		o.mw = cfg.Metrics
 	}
 	if cfg.Decisions != nil {
 		if rig.QS == nil {
-			return nil, fmt.Errorf("experiment: decision log requires a query-scheduler run")
+			return fmt.Errorf("experiment: decision log requires a query-scheduler run")
 		}
+		meta := decisionMeta(cfg, rig)
 		var dw *decisionlog.Writer
 		var err error
 		if resume {
-			dw, err = decisionlog.ResumeWriter(cfg.Decisions, decisionMeta(cfg, rig))
+			dw, err = decisionlog.ResumeWriter(cfg.Decisions, meta)
 		} else {
-			dw, err = decisionlog.NewWriter(cfg.Decisions, decisionMeta(cfg, rig))
+			dw, err = decisionlog.NewWriter(cfg.Decisions, meta)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rig.QS.OnPlan(dw.Note)
+		for _, b := range rig.Backends {
+			stream := 0
+			if rig.Router != nil {
+				stream = b.ID()
+			}
+			b.QS.OnPlan(func(rec core.PlanRecord) { dw.NoteBackend(stream, rec) })
+		}
 		o.dlog = dw
 	}
-	return o, nil
+	return nil
 }
 
 // finish flushes the metrics exposition and reports the first export
@@ -130,6 +158,9 @@ func decisionMeta(cfg MixedConfig, rig *Rig) decisionlog.Meta {
 	}
 	if m.Experiment == "" {
 		m.Experiment = cfg.Mode.String()
+	}
+	for _, bm := range rig.backendsMeta() {
+		m.Backends = append(m.Backends, decisionlog.BackendMeta(bm))
 	}
 	return m
 }
@@ -206,8 +237,8 @@ func (d *classDense[T]) get(id engine.ClassID, mk func() *T) *T {
 
 // instrumentEngine registers run-level query counters and latency
 // histograms fed from the engine's lifecycle hooks, so every mode — not
-// just Query Scheduler runs — produces a metrics exposition. Fleet runs
-// pass an extra backend label per engine; the instruments are created
+// just Query Scheduler runs — produces a metrics exposition. A fleet of
+// two or more passes an extra backend label per engine; the instruments are created
 // lazily once per class, so the label slice is built off the hot path.
 func instrumentEngine(reg *obs.Registry, eng *engine.Engine, classes []*workload.Class, extra ...obs.Label) {
 	submitted := newClassDense[obs.Counter](classes)

@@ -285,6 +285,48 @@ func (p Plan) Validate() error {
 	return nil
 }
 
+// ValidateRoster is Validate for a run on a roster of n backends (n <= 1
+// is the single engine): backend-scoped faults need a fleet and must
+// name roster IDs, and the plan must never have every backend down at the
+// same instant — a fleet with no survivor has nowhere to route. Crash
+// outages are taken as closed intervals [At, RecoverAt], so a recovery
+// and another backend's crash at the same instant count as overlapping.
+func (p Plan) ValidateRoster(n int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if n < 2 {
+		if p.HasBackendFaults() {
+			return fmt.Errorf("fault: backend-scoped faults require a fleet of two or more backends")
+		}
+		return nil
+	}
+	if mb := p.MaxBackend(); mb > n {
+		return fmt.Errorf("fault: plan targets backend %d of a %d-backend fleet", mb, n)
+	}
+	downAt := func(b int, t float64) bool {
+		for _, bc := range p.BackendCrashes {
+			if bc.Backend == b && bc.At <= t && (bc.RecoverAt == 0 || t <= bc.RecoverAt) {
+				return true
+			}
+		}
+		return false
+	}
+	// If every backend is down at some instant, it is down at the latest
+	// crash start among the covering outages, so those are the only
+	// instants to check.
+	for _, bc := range p.BackendCrashes {
+		all := true
+		for b := 1; b <= n && all; b++ {
+			all = downAt(b, bc.At)
+		}
+		if all {
+			return fmt.Errorf("fault: every one of the %d backends is down at t=%v", n, bc.At)
+		}
+	}
+	return nil
+}
+
 // Stats counts injections, total and per kind.
 type Stats struct {
 	Aborts           uint64

@@ -327,3 +327,38 @@ func TestParseSpecRejectsBadBackendFaults(t *testing.T) {
 		}
 	}
 }
+
+// ValidateRoster fits a plan to the run's roster: backend faults need a
+// fleet and real roster IDs, and some backend must stay up at every
+// instant (outages count as closed intervals, so a hand-off at the same
+// instant is still an all-down moment).
+func TestValidateRoster(t *testing.T) {
+	crash := func(b int, at, recoverAt float64) BackendCrash {
+		return BackendCrash{Backend: b, At: at, RecoverAt: recoverAt}
+	}
+	cases := []struct {
+		name    string
+		n       int
+		plan    Plan
+		wantErr string
+	}{
+		{"class faults on one engine", 1, Plan{AbortRate: map[engine.ClassID]float64{1: 0.1}}, ""},
+		{"backend fault on one engine", 1, Plan{BackendCrashes: []BackendCrash{crash(1, 10, 0)}}, "require a fleet"},
+		{"backend beyond roster", 3, Plan{BackendDropouts: []BackendOutage{{Backend: 4, Window: Window{1, 2}}}}, "backend 4 of a 3-backend fleet"},
+		{"one survivor", 3, Plan{BackendCrashes: []BackendCrash{crash(1, 500, 0), crash(2, 500, 0)}}, ""},
+		{"all down at once", 3, Plan{BackendCrashes: []BackendCrash{crash(1, 500, 0), crash(2, 500, 0), crash(3, 500, 0)}}, "down at t=500"},
+		{"all down later", 2, Plan{BackendCrashes: []BackendCrash{crash(1, 100, 0), crash(2, 300, 0)}}, "down at t=300"},
+		{"staggered outages", 2, Plan{BackendCrashes: []BackendCrash{crash(1, 100, 200), crash(2, 300, 400)}}, ""},
+		{"same-instant hand-off", 2, Plan{BackendCrashes: []BackendCrash{crash(1, 100, 200), crash(2, 200, 0)}}, "down at t=200"},
+		{"invalid plan", 2, Plan{SnapshotDrop: 2}, "snapshot drop"},
+	}
+	for _, c := range cases {
+		err := c.plan.ValidateRoster(c.n)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+		}
+	}
+}

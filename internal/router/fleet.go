@@ -3,8 +3,8 @@
 // routed-cost demand, folds it into an EWMA, and re-targets every
 // backend's SystemCostLimit proportionally — the per-backend Query
 // Schedulers then run the existing per-class solver, unchanged,
-// against their share. A single-backend fleet degenerates to handing
-// the whole budget to backend 1, which is exactly the classic rig.
+// against their share. A fleet of one needs no split and runs no
+// planner.
 package router
 
 import (

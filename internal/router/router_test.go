@@ -6,6 +6,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/patroller"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -165,7 +166,13 @@ func fleetPair(t *testing.T) (*simclock.Clock, *Router, []*backend.Instance) {
 	var bs []backend.Backend
 	for i := 1; i <= 2; i++ {
 		b := backend.New(i, backend.Spec{Name: "b"}, clock)
-		b.AttachControl(qsCfg, classes, []engine.ClassID{1}, nil)
+		b.Pat = patroller.New(b.Eng, 1)
+		qs, err := core.New(qsCfg, b.Eng, b.Pat, classes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.QS = qs
+		qs.Start()
 		instances = append(instances, b)
 		bs = append(bs, b)
 	}

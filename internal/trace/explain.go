@@ -146,17 +146,6 @@ type Explanation struct {
 // QueueBins is the queue-depth timeline resolution.
 const QueueBins = 60
 
-// Explain analyzes one class/period cell of a parsed trace.
-func Explain(f *TraceFile, q ExplainQuery) (*Explanation, error) {
-	var horizon simclock.Time
-	for _, e := range f.Events {
-		if e.Time > horizon {
-			horizon = e.Time
-		}
-	}
-	return explainCell(f.Meta, f.Events, horizon, q)
-}
-
 // SpecError marks a malformed or out-of-range -explain spec, so callers
 // can distinguish usage mistakes from trace problems.
 type SpecError struct{ Err error }
@@ -166,8 +155,8 @@ func (e *SpecError) Unwrap() error { return e.Err }
 
 // ExplainJSONL streams a JSONL export and explains one cell, holding
 // only the target class's events and the trace's plan changes in memory
-// rather than the whole event list. The output is identical to
-// ReadJSONL followed by Explain. Spec errors are wrapped in *SpecError.
+// rather than the whole event list. Spec errors are wrapped in
+// *SpecError.
 func ExplainJSONL(r io.Reader, spec string) (*Explanation, error) {
 	var (
 		meta    Meta
@@ -423,70 +412,46 @@ func (ex *Explanation) renderGantt(w io.Writer) {
 	}
 }
 
-// summaryAcc accumulates the per-kind and per-class tallies the trace
-// summary prints; it needs each event once, never the full list.
-type summaryAcc struct {
-	total   int
-	counts  map[Kind]int
-	byClass map[engine.ClassID]int
-}
-
-func newSummaryAcc() *summaryAcc {
-	return &summaryAcc{counts: make(map[Kind]int), byClass: make(map[engine.ClassID]int)}
-}
-
-func (a *summaryAcc) add(e Event) {
-	a.total++
-	a.counts[e.Kind]++
-	if e.Kind == QueryDone {
-		a.byClass[e.Class]++
+// SummarizeJSONL streams a JSONL export and writes the trace's header
+// and per-kind event counts — the default qtrace view when no -explain
+// spec is given — in constant memory. Nothing is written until the scan
+// succeeds, so a corrupt trace produces an error and no partial output.
+func SummarizeJSONL(w io.Writer, r io.Reader) error {
+	var meta Meta
+	total := 0
+	counts := make(map[Kind]int)
+	byClass := make(map[engine.ClassID]int)
+	err := ScanJSONL(r,
+		func(m Meta) error { meta = m; return nil },
+		func(e Event) error {
+			total++
+			counts[e.Kind]++
+			if e.Kind == QueryDone {
+				byClass[e.Class]++
+			}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
-}
-
-func (a *summaryAcc) render(w io.Writer, meta Meta) {
 	fmt.Fprintf(w, "Trace: %s (seed %d), format v%d\n", meta.Experiment, meta.Seed, meta.Version)
 	fmt.Fprintf(w, "Schedule: %d periods × %.0fs\n", meta.Periods, meta.PeriodSeconds)
 	for i, c := range meta.Classes {
 		fmt.Fprintf(w, "  class %d %q (%s): %s  [letter %c]\n", c.ID, c.Name, c.Kind, c.Goal, 'A'+i)
 	}
-	fmt.Fprintf(w, "Events: %d\n", a.total)
+	fmt.Fprintf(w, "Events: %d\n", total)
 	for k := QuerySubmit; k <= WorkloadShift; k++ {
-		if a.counts[k] > 0 {
-			fmt.Fprintf(w, "  %-10s %d\n", k.String(), a.counts[k])
+		if counts[k] > 0 {
+			fmt.Fprintf(w, "  %-10s %d\n", k.String(), counts[k])
 		}
 	}
 	var ids []engine.ClassID
-	for id := range a.byClass {
+	for id := range byClass {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		fmt.Fprintf(w, "Completions class %d: %d\n", id, a.byClass[id])
+		fmt.Fprintf(w, "Completions class %d: %d\n", id, byClass[id])
 	}
-}
-
-// Summarize writes the trace's header and per-kind event counts — the
-// default qtrace view when no -explain spec is given.
-func Summarize(w io.Writer, f *TraceFile) {
-	acc := newSummaryAcc()
-	for _, e := range f.Events {
-		acc.add(e)
-	}
-	acc.render(w, f.Meta)
-}
-
-// SummarizeJSONL streams a JSONL export and writes the same summary as
-// Summarize, in constant memory. Nothing is written until the scan
-// succeeds, so a corrupt trace produces an error and no partial output.
-func SummarizeJSONL(w io.Writer, r io.Reader) error {
-	var meta Meta
-	acc := newSummaryAcc()
-	err := ScanJSONL(r,
-		func(m Meta) error { meta = m; return nil },
-		func(e Event) error { acc.add(e); return nil })
-	if err != nil {
-		return err
-	}
-	acc.render(w, meta)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/simclock"
 )
 
 // explainMeta is a two-class header for spec-parsing and explain tests.
@@ -100,14 +101,33 @@ func explainEvents() []Event {
 	}
 }
 
-func TestExplainBreakdown(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
-
-	// Period 1, class 2: only q1 completes there.
-	ex, err := Explain(f, ExplainQuery{Class: 2, Period: 1})
+// explainSpec exports (meta, events) as JSONL and explains one cell of
+// it through ExplainJSONL.
+func explainSpec(t *testing.T, meta Meta, events []Event, spec string) *Explanation {
+	t.Helper()
+	ex, err := ExplainJSONL(bytes.NewReader(encodeJSONL(t, meta, events)), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ex
+}
+
+// horizonOf is the trace-wide horizon: the last event time.
+func horizonOf(events []Event) simclock.Time {
+	var h simclock.Time
+	for _, e := range events {
+		if e.Time > h {
+			h = e.Time
+		}
+	}
+	return h
+}
+
+func TestExplainBreakdown(t *testing.T) {
+	meta, events := explainMeta(), explainEvents()
+
+	// Period 1, class 2: only q1 completes there.
+	ex := explainSpec(t, meta, events, "class=2 period=1")
 	if len(ex.Completed) != 1 || ex.Completed[0].Query != 1 {
 		t.Fatalf("period 1 completions = %+v, want just q1", ex.Completed)
 	}
@@ -134,10 +154,7 @@ func TestExplainBreakdown(t *testing.T) {
 	}
 
 	// Period 2: q2 completes; the plan change at t=110 is in-window.
-	ex2, err := Explain(f, ExplainQuery{Class: 2, Period: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex2 := explainSpec(t, meta, events, "class=2 period=2")
 	if len(ex2.Completed) != 1 || ex2.Completed[0].Query != 2 {
 		t.Fatalf("period 2 completions = %+v, want just q2", ex2.Completed)
 	}
@@ -153,10 +170,7 @@ func TestExplainBreakdown(t *testing.T) {
 	}
 
 	// Period 3: no completions; plan v1 in force at start.
-	ex3, err := Explain(f, ExplainQuery{Class: 2, Period: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex3 := explainSpec(t, meta, events, "class=2 period=3")
 	if len(ex3.Completed) != 0 || ex3.PlanAtStart != 1 {
 		t.Errorf("period 3: %d completions plan v%d, want 0 completions v1",
 			len(ex3.Completed), ex3.PlanAtStart)
@@ -164,11 +178,7 @@ func TestExplainBreakdown(t *testing.T) {
 }
 
 func TestExplainRender(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
-	ex, err := Explain(f, ExplainQuery{Class: 2, Period: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := explainSpec(t, explainMeta(), explainEvents(), "class=2 period=2")
 	var sb strings.Builder
 	ex.Render(&sb)
 	out := sb.String()
@@ -182,28 +192,30 @@ func TestExplainRender(t *testing.T) {
 	}
 	// Rendering must be deterministic (it feeds golden CI assertions).
 	var sb2 strings.Builder
-	ex2, _ := Explain(f, ExplainQuery{Class: 2, Period: 2})
+	ex2 := explainSpec(t, explainMeta(), explainEvents(), "class=2 period=2")
 	ex2.Render(&sb2)
 	if sb2.String() != out {
-		t.Error("render not deterministic across Explain calls")
+		t.Error("render not deterministic across explain calls")
 	}
 }
 
+// The analysis rejects cells the spec parser would never produce, too.
 func TestExplainErrors(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: nil}
-	if _, err := Explain(f, ExplainQuery{Class: 99, Period: 1}); err == nil {
+	meta := explainMeta()
+	if _, err := explainCell(meta, nil, 0, ExplainQuery{Class: 99, Period: 1}); err == nil {
 		t.Error("unknown class: want error")
 	}
-	f.Meta.PeriodSeconds = 0
-	if _, err := Explain(f, ExplainQuery{Class: 1, Period: 1}); err == nil {
+	meta.PeriodSeconds = 0
+	if _, err := ExplainJSONL(bytes.NewReader(encodeJSONL(t, meta, nil)), "class=1 period=1"); err == nil {
 		t.Error("no period length: want error")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
 	var sb strings.Builder
-	Summarize(&sb, f)
+	if err := SummarizeJSONL(&sb, bytes.NewReader(encodeJSONL(t, explainMeta(), explainEvents()))); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"test (seed 7)", "3 periods", "Class 2", "[letter B]",
@@ -216,7 +228,7 @@ func TestSummarize(t *testing.T) {
 }
 
 // encodeJSONL renders a (meta, events) pair exactly as a StreamJSONL
-// sink would, so streaming readers can be tested against in-memory ones.
+// sink would.
 func encodeJSONL(t *testing.T, meta Meta, events []Event) []byte {
 	t.Helper()
 	line, err := json.Marshal(jsonMeta{Type: "meta", Meta: meta})
@@ -230,45 +242,35 @@ func encodeJSONL(t *testing.T, meta Meta, events []Event) []byte {
 	return buf
 }
 
-// TestExplainJSONLMatchesInMemory pins the streaming explain/summary
-// paths to the ReadJSONL-based ones: same bytes in, same bytes out.
+// TestExplainJSONLMatchesInMemory pins the streaming explain path, which
+// keeps only the target class's events and the plan changes, to the
+// analysis of the full in-memory event list: same cell, same bytes out.
 func TestExplainJSONLMatchesInMemory(t *testing.T) {
-	raw := encodeJSONL(t, explainMeta(), explainEvents())
+	meta, events := explainMeta(), explainEvents()
+	for _, spec := range []string{"class=2 period=1", "class=B period=2", "class=1 period=3"} {
+		assertStreamMatchesFull(t, meta, events, spec)
+	}
+}
 
-	tf, err := ReadJSONL(bytes.NewReader(raw))
+// assertStreamMatchesFull compares ExplainJSONL's rendering of one spec
+// with explainCell run over every event.
+func assertStreamMatchesFull(t *testing.T, meta Meta, events []Event, spec string) {
+	t.Helper()
+	q, err := ParseExplainQuery(spec, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"class=2 period=1", "class=B period=2", "class=1 period=3"} {
-		q, err := ParseExplainQuery(spec, tf.Meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exMem, err := Explain(tf, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exStream, err := ExplainJSONL(bytes.NewReader(raw), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mem, stream strings.Builder
-		exMem.Render(&mem)
-		exStream.Render(&stream)
-		if mem.String() != stream.String() {
-			t.Errorf("%s: streamed explain diverges from in-memory:\n--- in-memory\n%s\n--- streamed\n%s",
-				spec, mem.String(), stream.String())
-		}
-	}
-
-	var mem, stream strings.Builder
-	Summarize(&mem, tf)
-	if err := SummarizeJSONL(&stream, bytes.NewReader(raw)); err != nil {
+	full, err := explainCell(meta, events, horizonOf(events), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.String() != stream.String() {
-		t.Errorf("streamed summary diverges from in-memory:\n--- in-memory\n%s\n--- streamed\n%s",
-			mem.String(), stream.String())
+	stream := explainSpec(t, meta, events, spec)
+	var a, b strings.Builder
+	full.Render(&a)
+	stream.Render(&b)
+	if a.String() != b.String() {
+		t.Errorf("%s: streamed explain diverges from the full-list analysis:\n--- full\n%s\n--- streamed\n%s",
+			spec, a.String(), b.String())
 	}
 }
 
@@ -307,11 +309,7 @@ func TestParseExplainQueryRange(t *testing.T) {
 }
 
 func TestExplainPeriodRange(t *testing.T) {
-	f := &TraceFile{Meta: explainMeta(), Events: explainEvents()}
-	ex, err := Explain(f, ExplainQuery{Class: 2, Period: 1, PeriodEnd: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := explainSpec(t, explainMeta(), explainEvents(), "class=2 period=1-2")
 	// The [0,200) window aggregates q1 (period 1) and q2 (period 2).
 	if ex.Start != 0 || ex.End != 200 {
 		t.Errorf("window = [%g,%g), want [0,200)", ex.Start, ex.End)
@@ -344,9 +342,9 @@ func TestExplainPeriodRange(t *testing.T) {
 		}
 	}
 
-	// A reversed range handed directly to Explain (bypassing the parser)
-	// must still be rejected.
-	if _, err := Explain(f, ExplainQuery{Class: 2, Period: 3, PeriodEnd: 1}); err == nil {
+	// A reversed range handed directly to the analysis (bypassing the
+	// parser) must still be rejected.
+	if _, err := explainCell(explainMeta(), explainEvents(), 250, ExplainQuery{Class: 2, Period: 3, PeriodEnd: 1}); err == nil {
 		t.Error("reversed range: want error")
 	}
 }
@@ -382,18 +380,14 @@ func oltpEvents() []Event {
 }
 
 func TestExplainOLTPClass(t *testing.T) {
-	f := &TraceFile{Meta: oltpMeta(), Events: oltpEvents()}
-	q, err := ParseExplainQuery("class=C period=1-2", f.Meta)
+	q, err := ParseExplainQuery("class=C period=1-2", oltpMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Class != 3 || q.Period != 1 || q.PeriodEnd != 2 {
 		t.Fatalf("parsed %+v, want class 3 periods 1-2", q)
 	}
-	ex, err := Explain(f, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := explainSpec(t, oltpMeta(), oltpEvents(), "class=C period=1-2")
 	if len(ex.Completed) != 2 {
 		t.Fatalf("OLTP completions = %+v, want q11+q12", ex.Completed)
 	}
@@ -435,31 +429,8 @@ func TestExplainJSONLRangeMatchesInMemory(t *testing.T) {
 		{oltpMeta(), oltpEvents(), []string{"class=C period=1-2", "class=orders period=1-3"}},
 	}
 	for _, fx := range fixtures {
-		raw := encodeJSONL(t, fx.meta, fx.events)
-		tf, err := ReadJSONL(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, spec := range fx.specs {
-			q, err := ParseExplainQuery(spec, tf.Meta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exMem, err := Explain(tf, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exStream, err := ExplainJSONL(bytes.NewReader(raw), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mem, stream strings.Builder
-			exMem.Render(&mem)
-			exStream.Render(&stream)
-			if mem.String() != stream.String() {
-				t.Errorf("%s: streamed explain diverges from in-memory:\n--- in-memory\n%s\n--- streamed\n%s",
-					spec, mem.String(), stream.String())
-			}
+			assertStreamMatchesFull(t, fx.meta, fx.events, spec)
 		}
 	}
 	// A bad range spec through the streaming path is a *SpecError.

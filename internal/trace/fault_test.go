@@ -31,12 +31,12 @@ func TestStreamJSONLSecondAttachErrors(t *testing.T) {
 	if tr.SinkErr() != nil {
 		t.Fatal(tr.SinkErr())
 	}
-	f, err := ReadJSONL(bytes.NewReader(first.Bytes()))
+	m, events, err := scanAll(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Meta.Experiment != "a" || len(f.Events) != 1 {
-		t.Fatalf("first sink corrupted: %+v", f)
+	if m.Experiment != "a" || len(events) != 1 {
+		t.Fatalf("first sink corrupted: %+v %+v", m, events)
 	}
 }
 
@@ -49,18 +49,18 @@ func TestAbortAndRetryEventsRoundTripJSONL(t *testing.T) {
 	tr.Emit(Event{Time: 3, Kind: QueryAborted, Class: 1, Query: 9, Detail: "attempt=0"})
 	tr.Emit(Event{Time: 5, Kind: QueryRetried, Class: 1, Query: 10, Detail: "attempt=1"})
 	tr.Flush()
-	f, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	_, events, err := scanAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Events) != 2 {
-		t.Fatalf("%d events", len(f.Events))
+	if len(events) != 2 {
+		t.Fatalf("%d events", len(events))
 	}
-	if f.Events[0].Kind != QueryAborted || f.Events[0].Detail != "attempt=0" {
-		t.Fatalf("event[0] = %+v", f.Events[0])
+	if events[0].Kind != QueryAborted || events[0].Detail != "attempt=0" {
+		t.Fatalf("event[0] = %+v", events[0])
 	}
-	if f.Events[1].Kind != QueryRetried || f.Events[1].Query != 10 {
-		t.Fatalf("event[1] = %+v", f.Events[1])
+	if events[1].Kind != QueryRetried || events[1].Query != 10 {
+		t.Fatalf("event[1] = %+v", events[1])
 	}
 }
 

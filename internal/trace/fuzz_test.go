@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzReadJSONL asserts the trace parser's contract on arbitrary input:
-// an error or a well-formed TraceFile, never a panic. Corrupt gzip
-// streams are covered too (ReadJSONL sniffs the magic bytes).
-func FuzzReadJSONL(f *testing.F) {
+// FuzzScanJSONL asserts the trace parser's contract on arbitrary input:
+// an error or a meta line followed by events, never a panic. Corrupt
+// gzip streams are covered too (ScanJSONL sniffs the magic bytes).
+func FuzzScanJSONL(f *testing.F) {
 	meta := `{"type":"meta","v":1,"experiment":"fuzz","seed":1,"period_seconds":60,"periods":2,"classes":[{"id":1,"name":"olap","kind":"OLAP","goal":"velocity >= 0.4","target":0.4}]}`
 	event := `{"type":"event","seq":1,"t":0.5,"kind":"submit","class":1,"query":1,"client":2,"period":0,"plan":0,"value":100}`
 	f.Add([]byte(meta + "\n"))
@@ -27,9 +27,17 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add(gz.Bytes()) // valid compressed trace
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf, err := ReadJSONL(bytes.NewReader(data))
-		if err == nil && tf == nil {
-			t.Fatal("nil trace with nil error")
+		sawMeta := false
+		err := ScanJSONL(bytes.NewReader(data),
+			func(Meta) error { sawMeta = true; return nil },
+			func(Event) error {
+				if !sawMeta {
+					t.Fatal("event delivered before the meta line")
+				}
+				return nil
+			})
+		if err == nil && !sawMeta {
+			t.Fatal("no meta line with nil error")
 		}
 	})
 }

@@ -2,7 +2,7 @@
 // by a .gz path suffix) and optional size-based rotation. The tracer
 // writes whole lines only, so rotation always lands on a line boundary;
 // each rotated segment re-starts with the run's meta line, keeping every
-// segment independently parseable by ReadJSONL/qtrace.
+// segment independently parseable by ScanJSONL/qtrace.
 package trace
 
 import (

@@ -49,13 +49,13 @@ func TestGzipSinkRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// ReadJSONL must sniff the gzip magic and decompress transparently.
-	tf, err := ReadJSONL(f)
+	// ScanJSONL must sniff the gzip magic and decompress transparently.
+	m, events, err := scanAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tf.Meta.Experiment != "sink-test" || len(tf.Events) != 25 {
-		t.Fatalf("meta=%q events=%d", tf.Meta.Experiment, len(tf.Events))
+	if m.Experiment != "sink-test" || len(events) != 25 {
+		t.Fatalf("meta=%q events=%d", m.Experiment, len(events))
 	}
 }
 
@@ -83,15 +83,15 @@ func TestRotatingSinkSegmentsAreIndependentlyParseable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tf, err := ReadJSONL(f)
+		m, events, err := scanAll(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("segment %s: %v", seg, err)
 		}
-		if tf.Meta.Experiment != "sink-test" {
+		if m.Experiment != "sink-test" {
 			t.Fatalf("segment %s missing replayed meta", seg)
 		}
-		total += len(tf.Events)
+		total += len(events)
 	}
 	if total != 60 {
 		t.Fatalf("segments carry %d events, want 60", total)

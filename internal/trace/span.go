@@ -250,12 +250,6 @@ func kindFromString(s string) (Kind, error) {
 	return 0, fmt.Errorf("trace: unknown event kind %q", s)
 }
 
-// TraceFile is a parsed JSONL export.
-type TraceFile struct {
-	Meta   Meta
-	Events []Event
-}
-
 // ClassByID returns the class metadata for id, or nil.
 func (m Meta) ClassByID(id int) *ClassMeta {
 	for i := range m.Classes {
@@ -266,32 +260,15 @@ func (m Meta) ClassByID(id int) *ClassMeta {
 	return nil
 }
 
-// ClassByID returns the class metadata for id, or nil.
-func (f *TraceFile) ClassByID(id int) *ClassMeta { return f.Meta.ClassByID(id) }
-
-// ReadJSONL parses a trace exported by StreamJSONL. Gzip-compressed
-// exports (written through a .jsonl.gz sink) are detected by their magic
-// bytes and decompressed transparently. The meta line must come first;
-// unknown line types are rejected (the format is versioned, not
-// open-ended). Corrupt or truncated input yields an error, never a
-// panic.
-func ReadJSONL(r io.Reader) (*TraceFile, error) {
-	var f TraceFile
-	err := ScanJSONL(r,
-		func(m Meta) error { f.Meta = m; return nil },
-		func(e Event) error { f.Events = append(f.Events, e); return nil })
-	if err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // ScanJSONL streams a trace exported by StreamJSONL without retaining
 // it: the meta line (which must come first) is passed to onMeta, then
-// every event is passed to onEvent in file order. Format handling
-// matches ReadJSONL — gzip is detected and decompressed, corrupt input
-// yields an error — but memory stays constant no matter how large the
-// trace is. A callback error aborts the scan and is returned verbatim.
+// every event is passed to onEvent in file order. Gzip-compressed
+// exports (written through a .jsonl.gz sink) are detected by their magic
+// bytes and decompressed transparently. Unknown line types are rejected
+// (the format is versioned, not open-ended), and corrupt or truncated
+// input yields an error, never a panic. Memory stays constant no matter
+// how large the trace is. A callback error aborts the scan and is
+// returned verbatim.
 func ScanJSONL(r io.Reader, onMeta func(Meta) error, onEvent func(Event) error) error {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -46,28 +47,38 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("ring retained %d, want 2", tr.Len())
 	}
 
-	f, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	m, events, err := scanAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Meta.Version != FormatVersion || f.Meta.Experiment != "fig6" || f.Meta.Seed != 7 {
-		t.Fatalf("meta = %+v", f.Meta)
+	if m.Version != FormatVersion || m.Experiment != "fig6" || m.Seed != 7 {
+		t.Fatalf("meta = %+v", m)
 	}
-	if c := f.ClassByID(1); c == nil || c.Name != "Class 1" || c.Target != 0.4 {
+	if c := m.ClassByID(1); c == nil || c.Name != "Class 1" || c.Target != 0.4 {
 		t.Fatalf("class meta = %+v", c)
 	}
-	if len(f.Events) != 4 {
-		t.Fatalf("%d events exported, want 4 (lossless)", len(f.Events))
+	if len(events) != 4 {
+		t.Fatalf("%d events exported, want 4 (lossless)", len(events))
 	}
-	e := f.Events[0]
+	e := events[0]
 	if e.Seq != 1 || e.Time != 10 || e.Kind != QuerySubmit || e.Class != 1 ||
 		e.Query != 5 || e.Client != 2 || e.Period != 0 || e.Plan != 0 ||
 		e.Value != 42.5 || e.Detail != "Q9" {
 		t.Fatalf("event[0] = %+v", e)
 	}
-	if f.Events[2].Plan != 1 || f.Events[2].Period != 1 {
-		t.Fatalf("event[2] = %+v", f.Events[2])
+	if events[2].Plan != 1 || events[2].Period != 1 {
+		t.Fatalf("event[2] = %+v", events[2])
 	}
+}
+
+// scanAll collects a whole JSONL export through ScanJSONL.
+func scanAll(r io.Reader) (Meta, []Event, error) {
+	var meta Meta
+	var events []Event
+	err := ScanJSONL(r,
+		func(m Meta) error { meta = m; return nil },
+		func(e Event) error { events = append(events, e); return nil })
+	return meta, events, err
 }
 
 func TestJSONLExportDeterministic(t *testing.T) {
@@ -87,7 +98,7 @@ func TestJSONLExportDeterministic(t *testing.T) {
 	}
 }
 
-func TestReadJSONLRejectsGarbage(t *testing.T) {
+func TestScanJSONLRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"no meta":      `{"type":"event","seq":1}`,
 		"bad json":     "{not json}",
@@ -96,7 +107,7 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 		"empty":        "",
 	}
 	for name, in := range cases {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+		if _, _, err := scanAll(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
