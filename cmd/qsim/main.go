@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -52,53 +51,6 @@ func loadFaults(path string) *fault.Plan {
 		os.Exit(1)
 	}
 	return &plan
-}
-
-// fileSink is a buffered file target for trace/metrics export. The trace
-// sink in particular receives one small write per event, so buffering is
-// what keeps exporting a 24-hour run cheap.
-type fileSink struct {
-	f  *os.File
-	bw *bufio.Writer
-}
-
-// openSink creates path (nil when path is empty).
-func openSink(path string) *fileSink {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return &fileSink{f: f, bw: bufio.NewWriterSize(f, 1<<20)}
-}
-
-// writer returns the sink's io.Writer, or a nil interface for a nil sink
-// (a typed-nil *fileSink inside an io.Writer would defeat nil checks).
-func (s *fileSink) writer() io.Writer {
-	if s == nil {
-		return nil
-	}
-	return s.bw
-}
-
-// close flushes and closes, exiting on error: a silently truncated
-// artifact is worse than a failed run.
-func (s *fileSink) close() {
-	if s == nil {
-		return
-	}
-	if err := s.bw.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := s.f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", s.f.Name())
 }
 
 func main() {
@@ -184,31 +136,30 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The trace sink handles optional gzip (.gz suffix) and rotation. On
-	// -resume the interrupted run's trace file must NOT be truncated here:
-	// ResumeMixed reopens it and rewinds to the checkpointed offset itself.
-	var traceSink *trace.Sink
-	if *traceFile != "" && *resumeDir == "" {
-		s, err := trace.OpenSink(*traceFile, *traceRotate)
+	// Every export file is a trace.Sink; the trace's handles optional
+	// gzip (.gz suffix) and rotation. On -resume the interrupted run's
+	// trace and decision log must NOT be truncated here: ResumeMixed
+	// reopens them and rewinds to the checkpointed offsets itself.
+	var sinks []*trace.Sink
+	openSink := func(path string, rotate int64) io.Writer {
+		if path == "" {
+			return nil // a typed-nil *trace.Sink would defeat nil checks
+		}
+		s, err := trace.OpenSink(path, rotate)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		traceSink = s
+		sinks = append(sinks, s)
+		return s
 	}
-	traceWriter := func() io.Writer {
-		if traceSink == nil {
-			return nil // a typed-nil *trace.Sink would defeat nil checks
-		}
-		return traceSink
+	var traceW, decisionsW io.Writer
+	if *resumeDir == "" {
+		traceW = openSink(*traceFile, *traceRotate)
 	}
-	metricsSink := openSink(*metricsFile)
-	// Like the trace file, the decision log must NOT be truncated on
-	// -resume: ResumeMixed reopens it and rewinds to the checkpointed
-	// offset itself.
-	var decisionsSink *fileSink
-	if *decisionsFile != "" && *resumeDir == "" {
-		decisionsSink = openSink(*decisionsFile)
+	metricsW := openSink(*metricsFile, 0)
+	if *resumeDir == "" {
+		decisionsW = openSink(*decisionsFile, 0)
 	}
 	checkExport := func(res *experiment.MixedResult) {
 		if res.ExportErr != nil {
@@ -216,16 +167,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// closeSinks flushes and closes, exiting on error: a silently
+	// truncated artifact is worse than a failed run.
 	closeSinks := func() {
-		if traceSink != nil {
-			if err := traceSink.Close(); err != nil {
+		for _, s := range sinks {
+			if err := s.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *traceFile)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", s.Name())
 		}
-		metricsSink.close()
-		decisionsSink.close()
 	}
 	// A fault-plan crash ends the run mid-simulation: flush the partial
 	// artifacts (resume rewinds the trace) and exit distinctly.
@@ -292,7 +243,7 @@ func main() {
 			Dir:             *resumeDir,
 			TracePath:       *traceFile,
 			DecisionsPath:   *decisionsFile,
-			Metrics:         metricsSink.writer(),
+			Metrics:         metricsW,
 			CheckpointEvery: *checkpointEvery,
 			Warn:            os.Stderr,
 		})
@@ -326,9 +277,9 @@ func main() {
 		if sc.Name != "" {
 			fmt.Fprintf(out, "Scenario: %s\n", sc.Name)
 		}
-		sc.Trace = traceWriter()
-		sc.Metrics = metricsSink.writer()
-		sc.Decisions = decisionsSink.writer()
+		sc.Trace = traceW
+		sc.Metrics = metricsW
+		sc.Decisions = decisionsW
 		sc.Faults = faults
 		sc.CheckpointEvery = *checkpointEvery
 		sc.CheckpointDir = *checkpointDir
@@ -392,9 +343,9 @@ func main() {
 		cfg := experiment.DefaultMixedConfig(mode)
 		cfg.Seed = *seed
 		cfg.Experiment = *exp
-		cfg.Trace = traceWriter()
-		cfg.Metrics = metricsSink.writer()
-		cfg.Decisions = decisionsSink.writer()
+		cfg.Trace = traceW
+		cfg.Metrics = metricsW
+		cfg.Decisions = decisionsW
 		cfg.Faults = faults
 		cfg.CheckpointEvery = *checkpointEvery
 		cfg.CheckpointDir = *checkpointDir
@@ -456,9 +407,9 @@ func main() {
 		checkFaults(1)
 		cfg := experiment.InfeasibleMixedConfig()
 		cfg.Seed = *seed
-		cfg.Trace = traceWriter()
-		cfg.Metrics = metricsSink.writer()
-		cfg.Decisions = decisionsSink.writer()
+		cfg.Trace = traceW
+		cfg.Metrics = metricsW
+		cfg.Decisions = decisionsW
 		cfg.Faults = faults
 		cfg.CheckpointEvery = *checkpointEvery
 		cfg.CheckpointDir = *checkpointDir
@@ -484,9 +435,9 @@ func main() {
 		cfg := experiment.RoutingMixedConfig()
 		checkFaults(len(cfg.Backends))
 		cfg.Seed = *seed
-		cfg.Trace = traceWriter()
-		cfg.Metrics = metricsSink.writer()
-		cfg.Decisions = decisionsSink.writer()
+		cfg.Trace = traceW
+		cfg.Metrics = metricsW
+		cfg.Decisions = decisionsW
 		cfg.CheckpointEvery = *checkpointEvery
 		cfg.CheckpointDir = *checkpointDir
 		cfg.Faults = faults
@@ -512,9 +463,9 @@ func main() {
 		fcfg := experiment.FailoverConfig{
 			Seed:            *seed,
 			Quick:           *quick,
-			Trace:           traceWriter(),
-			Metrics:         metricsSink.writer(),
-			Decisions:       decisionsSink.writer(),
+			Trace:           traceW,
+			Metrics:         metricsW,
+			Decisions:       decisionsW,
 			CheckpointEvery: *checkpointEvery,
 			CheckpointDir:   *checkpointDir,
 		}

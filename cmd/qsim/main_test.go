@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // TestMain lets the test binary impersonate the CLI: with QSIM_MAIN=1
@@ -60,5 +63,59 @@ func TestAllBackendsDownPlanExits1(t *testing.T) {
 		if stdout != "" {
 			t.Errorf("%v: wrote output before rejecting the plan:\n%s", extra, stdout)
 		}
+	}
+}
+
+// A real kill: SIGKILL qsim once its first checkpoint is on disk, then
+// -resume it. The checkpoint flushed the decision log's buffered bytes
+// before it landed, so the file is never shorter than the offset it
+// records, and the resumed log matches an uninterrupted run byte for
+// byte.
+func TestSIGKILLAfterCheckpointResumesByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	scenario := filepath.Join("..", "..", "examples", "scenarios", "mixed-burst.json")
+	ref := filepath.Join(dir, "ref.jsonl")
+	if _, stderr, code := runCLI(t, "-scenario", scenario, "-decisions", ref); code != 0 {
+		t.Fatalf("reference run: exit %d\n%s", code, stderr)
+	}
+
+	ckpt := filepath.Join(dir, "ckpt")
+	log := filepath.Join(dir, "decisions.jsonl")
+	cmd := exec.Command(os.Args[0], "-scenario", scenario,
+		"-checkpoint-every", "1", "-checkpoint-dir", ckpt, "-decisions", log)
+	cmd.Env = append(os.Environ(), "QSIM_MAIN=1")
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		if m, _ := filepath.Glob(filepath.Join(ckpt, "ckpt-*.bin")); len(m) > 0 {
+			break
+		}
+		if i == 30000 {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatal("no checkpoint appeared within 30s")
+		}
+		time.Sleep(time.Millisecond) //lint:ignore wallclock the test polls a real child process for its first checkpoint file
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait() // "signal: killed", or nil if the run had already finished
+
+	if _, stderr, code := runCLI(t, "-resume", ckpt, "-decisions", log); code != 0 {
+		t.Fatalf("resume: exit %d\n%s", code, stderr)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed decision log differs from the uninterrupted run (%d vs %d bytes, %d NUL bytes)",
+			len(got), len(want), bytes.Count(got, []byte{0}))
 	}
 }

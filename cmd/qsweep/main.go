@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -38,49 +37,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/patroller"
 	"repro/internal/prof"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// sink is one run's buffered export file. Each swept value owns its sink,
-// so concurrent sweep workers never share a writer.
-type sink struct {
-	f  *os.File
-	bw *bufio.Writer
-}
-
-// newSink creates path, exiting on failure (before any runs start).
-func newSink(path string) *sink {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return &sink{f: f, bw: bufio.NewWriterSize(f, 1<<20)}
-}
-
-// writer returns a nil interface for a nil sink (never a typed nil).
-func (s *sink) writer() io.Writer {
-	if s == nil {
-		return nil
-	}
-	return s.bw
-}
-
-// finish flushes and closes, reporting the artifact path.
-func (s *sink) finish() {
-	if s == nil {
-		return
-	}
-	if err := s.bw.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := s.f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", s.f.Name())
-}
 
 // setters maps parameter names to config mutations.
 var setters = map[string]func(*core.Config, float64) error{
@@ -249,9 +208,19 @@ func main() {
 	// ResumeMixed reopens it and rewinds to the checkpointed offset, so no
 	// sink is created for it (the metrics exposition is rewritten wholesale
 	// after the run either way).
-	traceSinks := make([]*sink, len(sweep))
-	metricsSinks := make([]*sink, len(sweep))
-	decisionsSinks := make([]*sink, len(sweep))
+	var sinks []*trace.Sink
+	openSink := func(path string) io.Writer {
+		s, err := trace.OpenSink(path, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		sinks = append(sinks, s)
+		return s
+	}
+	traceWs := make([]io.Writer, len(sweep))
+	metricsWs := make([]io.Writer, len(sweep))
+	decisionsWs := make([]io.Writer, len(sweep))
 	tracePaths := make([]string, len(sweep))
 	decisionsPaths := make([]string, len(sweep))
 	ckptDirs := make([]string, len(sweep))
@@ -265,18 +234,18 @@ func main() {
 		if *tracePrefix != "" {
 			tracePaths[i] = *tracePrefix + val + ".jsonl"
 			if !resuming[i] {
-				traceSinks[i] = newSink(tracePaths[i])
+				traceWs[i] = openSink(tracePaths[i])
 			}
 		}
 		// The decision log rewinds on resume exactly like the trace.
 		if *decisionsPrefix != "" {
 			decisionsPaths[i] = *decisionsPrefix + val + ".jsonl"
 			if !resuming[i] {
-				decisionsSinks[i] = newSink(decisionsPaths[i])
+				decisionsWs[i] = openSink(decisionsPaths[i])
 			}
 		}
 		if *metricsPrefix != "" {
-			metricsSinks[i] = newSink(*metricsPrefix + val + ".prom")
+			metricsWs[i] = openSink(*metricsPrefix + val + ".prom")
 		}
 	}
 	var retry *patroller.RetryPolicy
@@ -293,7 +262,7 @@ func main() {
 				Dir:             ckptDirs[i],
 				TracePath:       tracePaths[i],
 				DecisionsPath:   decisionsPaths[i],
-				Metrics:         metricsSinks[i].writer(),
+				Metrics:         metricsWs[i],
 				CheckpointEvery: *checkpointEvery,
 				Warn:            os.Stderr,
 			})
@@ -306,9 +275,9 @@ func main() {
 			Seed:            *seed,
 			QS:              &cfgs[i],
 			Experiment:      fmt.Sprintf("qsweep %s=%g", *param, v),
-			Trace:           traceSinks[i].writer(),
-			Metrics:         metricsSinks[i].writer(),
-			Decisions:       decisionsSinks[i].writer(),
+			Trace:           traceWs[i],
+			Metrics:         metricsWs[i],
+			Decisions:       decisionsWs[i],
 			Faults:          faults,
 			Retry:           retry,
 			CheckpointEvery: *checkpointEvery,
@@ -319,10 +288,12 @@ func main() {
 	// Flush every sink before reporting: a crashed value must not cost the
 	// other values their buffered exports, and its own partial trace has
 	// to reach disk for -resume to rewind.
-	for i := range sweep {
-		traceSinks[i].finish()
-		decisionsSinks[i].finish()
-		metricsSinks[i].finish()
+	for _, s := range sinks {
+		if err := s.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", s.Name())
 	}
 	for i, v := range sweep {
 		if errs[i] != nil {

@@ -14,16 +14,17 @@ type CheckpointState struct {
 
 // CheckpointState captures the writer at a quiescent boundary.
 func (dw *Writer) CheckpointState() CheckpointState {
-	return CheckpointState{SinkBytes: dw.bytes, Streams: copyStreams(dw.streams)}
+	return CheckpointState{SinkBytes: dw.out.CheckpointState(), Streams: copyStreams(dw.streams)}
 }
 
-// RestoreCheckpoint overwrites a fresh (Resume)Writer with checkpointed
-// state. The caller must have truncated the sink to st.SinkBytes first.
+// RestoreCheckpoint overwrites a fresh Writer with checkpointed state.
+// The writer must be over the file rewound to st.SinkBytes (see
+// trace.Rewind).
 func (dw *Writer) RestoreCheckpoint(st CheckpointState) {
 	if dw.streams != nil {
 		panic("decisionlog: checkpoint restore onto a used writer")
 	}
-	dw.bytes = st.SinkBytes
+	dw.out.RestoreCheckpoint(st.SinkBytes)
 	dw.streams = copyStreams(st.Streams)
 }
 

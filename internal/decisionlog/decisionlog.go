@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -177,18 +178,15 @@ func ClassesMeta(classes []*workload.Class) []ClassMeta {
 // prediction window. Not safe for concurrent use — the schedulers' plan
 // hooks are the only callers.
 type Writer struct {
-	w     io.Writer
+	out   *trace.Stream
 	meta  Meta
 	class map[engine.ClassID]ClassMeta
 	ids   []engine.ClassID // sorted roster
 
-	bytes int64
 	// streams[b] is backend b's tick counter and one-tick buffer. Stream
 	// 0 is the single-backend log, whose records omit the backend; a
 	// fleet log uses streams 1..N.
 	streams []StreamState
-	//lint:ignore ckptcover latched export error; a resumed run reopens the sink and starts clean
-	err error
 }
 
 // StreamState is one decision stream's tick counter and pending record.
@@ -200,44 +198,17 @@ type StreamState struct {
 }
 
 // NewWriter starts a decision log on w: validates the meta, stamps
-// type/version, and writes the meta line.
+// type/version, and writes the meta line — unless w is a trace.Sink
+// reopened by trace.Rewind, which already holds the log up to a
+// checkpoint; RestoreCheckpoint then supplies the tick counters, byte
+// offset and pending records.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
-	dw, err := newWriter(w, meta)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(dw.meta)
-	if err != nil {
-		return nil, fmt.Errorf("decisionlog: encode meta: %w", err)
-	}
-	line = append(line, '\n')
-	n, err := w.Write(line)
-	dw.bytes += int64(n)
-	if err != nil {
-		return nil, fmt.Errorf("decisionlog: write meta: %w", err)
-	}
-	return dw, nil
-}
-
-// ResumeWriter attaches to a sink that already holds a decision-log
-// prefix (truncated to a checkpoint's SinkBytes): no meta line is
-// written, and RestoreCheckpoint supplies the tick counters, byte offset,
-// and pending records.
-func ResumeWriter(w io.Writer, meta Meta) (*Writer, error) {
-	return newWriter(w, meta)
-}
-
-func newWriter(w io.Writer, meta Meta) (*Writer, error) {
-	if w == nil {
-		return nil, fmt.Errorf("decisionlog: nil sink")
-	}
 	if len(meta.Classes) == 0 {
 		return nil, fmt.Errorf("decisionlog: meta has no classes")
 	}
 	meta.Type = "meta"
 	meta.Version = Version
 	dw := &Writer{
-		w:     w,
 		meta:  meta,
 		class: make(map[engine.ClassID]ClassMeta, len(meta.Classes)),
 	}
@@ -250,6 +221,11 @@ func newWriter(w io.Writer, meta Meta) (*Writer, error) {
 		dw.ids = append(dw.ids, id)
 	}
 	sort.Slice(dw.ids, func(i, j int) bool { return dw.ids[i] < dw.ids[j] })
+	out, err := trace.NewStream(w, dw.meta)
+	if err != nil {
+		return nil, fmt.Errorf("decisionlog: %w", err)
+	}
+	dw.out = out
 	return dw, nil
 }
 
@@ -269,7 +245,7 @@ func (dw *Writer) NoteBackend(b int, rec core.PlanRecord) {
 	s.Tick++
 	if s.Pending != nil {
 		s.Pending.Actual = dw.outcomes(s.Pending, rec.Measurement)
-		dw.writeRecord(s.Pending)
+		dw.out.WriteJSON(json.Marshal(s.Pending))
 	}
 	r := dw.buildRecord(b, s.Tick, s.Pending, rec)
 	s.Pending = &r
@@ -278,25 +254,11 @@ func (dw *Writer) NoteBackend(b int, rec core.PlanRecord) {
 // NoteFleet writes one fleet availability/mitigation event immediately.
 // No buffering: fleet events have no prediction window, and writing in
 // event order keeps the log a faithful interleaving of what the control
-// plane knew when. Byte accounting goes through the same path as
-// decision records, so checkpoints taken after a fleet event resume
-// byte-identically.
+// plane knew when. Fleet and decision records share one stream, so
+// checkpoints taken after a fleet event resume byte-identically.
 func (dw *Writer) NoteFleet(fr FleetRecord) {
-	if dw.err != nil {
-		return
-	}
 	fr.Type = "fleet"
-	line, err := json.Marshal(fr)
-	if err != nil {
-		dw.err = fmt.Errorf("decisionlog: encode fleet record: %w", err)
-		return
-	}
-	line = append(line, '\n')
-	n, werr := dw.w.Write(line)
-	dw.bytes += int64(n)
-	if werr != nil {
-		dw.err = werr
-	}
+	dw.out.WriteJSON(json.Marshal(fr))
 }
 
 // Flush writes the trailing pending records (without Actual — no later
@@ -306,35 +268,17 @@ func (dw *Writer) NoteFleet(fr FleetRecord) {
 func (dw *Writer) Flush() {
 	for i := range dw.streams {
 		if p := dw.streams[i].Pending; p != nil {
-			dw.writeRecord(p)
+			dw.out.WriteJSON(json.Marshal(p))
 			dw.streams[i].Pending = nil
 		}
 	}
 }
 
-// SinkBytes returns the bytes written to the sink so far (the pending
-// record is not included until written).
-func (dw *Writer) SinkBytes() int64 { return dw.bytes }
+// Err returns the first write or encode error, latched.
+func (dw *Writer) Err() error { return dw.out.Err() }
 
-// Err returns the first sink write error, latched.
-func (dw *Writer) Err() error { return dw.err }
-
-func (dw *Writer) writeRecord(r *Record) {
-	if dw.err != nil {
-		return
-	}
-	line, err := json.Marshal(r)
-	if err != nil {
-		dw.err = fmt.Errorf("decisionlog: encode record: %w", err)
-		return
-	}
-	line = append(line, '\n')
-	n, werr := dw.w.Write(line)
-	dw.bytes += int64(n)
-	if werr != nil {
-		dw.err = werr
-	}
-}
+// Stream returns the log's JSONL stream.
+func (dw *Writer) Stream() *trace.Stream { return dw.out }
 
 // buildRecord renders a PlanRecord into its serialized form for one
 // stream. Rows are emitted for every roster class in ID order; held

@@ -2,6 +2,8 @@ package decisionlog
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/simclock"
 	"repro/internal/solver"
+	"repro/internal/trace"
 )
 
 func simTime(t float64) simclock.Time { return simclock.Time(t) }
@@ -189,9 +192,9 @@ func TestWriterIdleClassYieldsNoOutcome(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeByteIdentical pins the resume contract: truncate
-// to SinkBytes, restore the pending record, continue — the bytes must
-// match an uninterrupted run exactly.
+// TestCheckpointResumeByteIdentical pins the resume contract: rewind
+// the file to SinkBytes, restore the pending record, continue — the bytes
+// must match an uninterrupted run exactly.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	recs := []core.PlanRecord{
 		testRec(60, 0.45, 0.2),
@@ -210,8 +213,12 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	fw.Flush()
 
-	var crash bytes.Buffer
-	cw, err := NewWriter(&crash, testMeta())
+	path := filepath.Join(t.TempDir(), "decisions.jsonl")
+	crash, err := trace.OpenSink(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := NewWriter(crash, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +228,17 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if len(st.Streams) != 1 || st.Streams[0].Pending == nil || st.Streams[0].Tick != 2 {
 		t.Fatalf("checkpoint state: %+v", st)
 	}
-	// Simulate the crash: garbage written after the checkpoint, then the
-	// recovery truncation back to the checkpointed offset.
+	// Simulate the crash: a record written after the checkpoint, then the
+	// recovery rewind back to the checkpointed offset.
 	cw.NoteBackend(0, recs[2])
-	crash.Truncate(int(st.SinkBytes))
-
-	rw, err := ResumeWriter(&crash, testMeta())
+	if err := crash.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := trace.Rewind(path, st.SinkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := NewWriter(resumed, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +246,20 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	rw.NoteBackend(0, recs[2])
 	rw.NoteBackend(0, recs[3])
 	rw.Flush()
-
-	if !bytes.Equal(full.Bytes(), crash.Bytes()) {
-		t.Fatalf("resumed log differs from uninterrupted run:\nfull:\n%s\nresumed:\n%s",
-			full.String(), crash.String())
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if rw.SinkBytes() != fw.SinkBytes() {
-		t.Fatalf("sink bytes %d vs %d", rw.SinkBytes(), fw.SinkBytes())
+
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(full.Bytes(), got) {
+		t.Fatalf("resumed log differs from uninterrupted run:\nfull:\n%s\nresumed:\n%s",
+			full.String(), got)
+	}
+	if rw.Stream().CheckpointState() != fw.Stream().CheckpointState() {
+		t.Fatalf("sink bytes %d vs %d", rw.Stream().CheckpointState(), fw.Stream().CheckpointState())
 	}
 }
 

@@ -15,10 +15,8 @@
 package experiment
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"repro/internal/backend"
@@ -102,13 +100,12 @@ type runSnapshot struct {
 	Planner router.PlannerCheckpointState
 	// Faults holds the per-backend injector states in roster order
 	// (empty when the run has no fault plan).
-	Faults   []fault.CheckpointState
-	HasTrace bool
-	Trace    trace.CheckpointState
-	HasReg   bool
-	Reg      obs.CheckpointState
-	HasDlog  bool
-	Dlog     decisionlog.CheckpointState
+	Faults []fault.CheckpointState
+	// Trace, Reg and Dlog are the exports' states, set when
+	// Spec.HasTrace, Spec.HasMetrics and Spec.HasDecisions.
+	Trace trace.CheckpointState
+	Reg   obs.CheckpointState
+	Dlog  decisionlog.CheckpointState
 }
 
 // solverSpec names a solver for the run spec. Only the built-in
@@ -273,15 +270,12 @@ func (r *Rig) checkpointState(o *runObs, inst *workload.Installation, spec *RunS
 		snap.Faults = append(snap.Faults, inj.CheckpointState())
 	}
 	if o != nil && o.tracer != nil {
-		snap.HasTrace = true
 		snap.Trace = o.tracer.CheckpointState()
 	}
 	if o != nil && o.reg != nil {
-		snap.HasReg = true
 		snap.Reg = o.reg.CheckpointState()
 	}
 	if o != nil && o.dlog != nil {
-		snap.HasDlog = true
 		snap.Dlog = o.dlog.CheckpointState()
 	}
 	return snap
@@ -322,7 +316,7 @@ func (r *Rig) restoreCheckpoint(snap *runSnapshot, o *runObs) (*workload.Install
 	if o.tracer != nil {
 		o.tracer.RestoreCheckpoint(snap.Trace)
 	}
-	if o.reg != nil && snap.HasReg {
+	if o.reg != nil && snap.Spec.HasMetrics {
 		o.reg.RestoreCheckpoint(snap.Reg)
 	}
 	if o.dlog != nil {
@@ -353,6 +347,15 @@ func runBoundaries(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSp
 		rig.Clock.RunUntil(duration)
 		return died(), nil
 	}
+	// write checkpoints boundary idx once every byte the snapshot's
+	// stream offsets count is out of the writers' buffers.
+	write := func(idx int) error {
+		snap := rig.checkpointState(o, inst, spec, idx)
+		if err := o.flush(); err != nil {
+			return err
+		}
+		return checkpoint.Write(cfg.CheckpointDir, idx, snap)
+	}
 	step := boundaryStep(cfg)
 	// atEnd marks a resume that restored a terminal snapshot: the clock is
 	// already at the schedule end, so the loop below must not write a
@@ -376,16 +379,14 @@ func runBoundaries(rig *Rig, o *runObs, inst *workload.Installation, spec *RunSp
 			// the resume restores the finished state and only re-emits
 			// the final exports.
 			if !atEnd {
-				snap := rig.checkpointState(o, inst, spec, idx+1)
-				if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
+				if werr := write(idx + 1); werr != nil {
 					return false, werr
 				}
 			}
 			return false, nil
 		}
 		if (idx+1)%cfg.CheckpointEvery == 0 {
-			snap := rig.checkpointState(o, inst, spec, idx+1)
-			if werr := checkpoint.Write(cfg.CheckpointDir, idx+1, snap); werr != nil {
+			if werr := write(idx + 1); werr != nil {
 				return false, werr
 			}
 		}
@@ -402,6 +403,7 @@ type ResumeOptions struct {
 	// TracePath is the interrupted run's trace file. Required when the
 	// run exported a trace: the file is truncated to the checkpointed
 	// byte offset and appended to, reproducing the uninterrupted export.
+	// A file shorter than that offset fails the resume (trace.Rewind).
 	TracePath string
 	// DecisionsPath is the interrupted run's decision-log file. Required
 	// when the run exported a decision log; rewound the same way the
@@ -446,8 +448,8 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 			return nil, fmt.Errorf("experiment: checkpoint %d carries boundary index %d", idx, snap.Index)
 		}
 	}
-	if snap.HasTrace != (opts.TracePath != "") {
-		if snap.HasTrace {
+	if snap.Spec.HasTrace != (opts.TracePath != "") {
+		if snap.Spec.HasTrace {
 			return nil, fmt.Errorf("experiment: checkpointed run exported a trace; TracePath is required")
 		}
 		return nil, fmt.Errorf("experiment: checkpointed run had no trace export; TracePath must be empty")
@@ -458,8 +460,8 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 		}
 		return nil, fmt.Errorf("experiment: checkpointed run had no metrics export; Metrics must be nil")
 	}
-	if snap.HasDlog != (opts.DecisionsPath != "") {
-		if snap.HasDlog {
+	if snap.Spec.HasDecisions != (opts.DecisionsPath != "") {
+		if snap.Spec.HasDecisions {
 			return nil, fmt.Errorf("experiment: checkpointed run exported a decision log; DecisionsPath is required")
 		}
 		return nil, fmt.Errorf("experiment: checkpointed run had no decision log; DecisionsPath must be empty")
@@ -469,37 +471,40 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	// offsets: everything the interrupted run wrote after this boundary
 	// is discarded and will be re-emitted, byte for byte, by the
 	// resumed run.
-	var tw, dw io.Writer
-	var files []*rewoundFile
+	var files []*trace.Sink
 	closeFiles := func() error {
 		var first error
-		for _, rf := range files {
-			if err := rf.close(); first == nil {
+		for _, f := range files {
+			if err := f.Close(); first == nil {
 				first = err
 			}
 		}
-		files = nil
 		return first
 	}
 	fail := func(err error) (*MixedResult, error) {
 		closeFiles()
 		return nil, err
 	}
-	if snap.HasTrace {
-		rf, err := rewindFile(opts.TracePath, snap.Trace.SinkBytes)
-		if err != nil {
-			return fail(fmt.Errorf("experiment: resume trace: %w", err))
+	// rewind reopens path at offset; no path gives the nil interface (a
+	// typed-nil *trace.Sink would defeat nil checks).
+	rewind := func(path string, offset int64) (io.Writer, error) {
+		if path == "" {
+			return nil, nil
 		}
-		files = append(files, rf)
-		tw = rf.bw
+		f, err := trace.Rewind(path, offset)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: resume: %w", err)
+		}
+		files = append(files, f)
+		return f, nil
 	}
-	if snap.HasDlog {
-		rf, err := rewindFile(opts.DecisionsPath, snap.Dlog.SinkBytes)
-		if err != nil {
-			return fail(fmt.Errorf("experiment: resume decision log: %w", err))
-		}
-		files = append(files, rf)
-		dw = rf.bw
+	tw, err := rewind(opts.TracePath, snap.Trace.SinkBytes)
+	if err != nil {
+		return fail(err)
+	}
+	dw, err := rewind(opts.DecisionsPath, snap.Dlog.SinkBytes)
+	if err != nil {
+		return fail(err)
 	}
 
 	cfg, err := snap.Spec.config(tw, opts.Metrics, dw)
@@ -512,7 +517,7 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 	// Reconstruction mirrors RunMixed exactly (same constructor and
 	// hook-attachment order), so restored event closures and listener
 	// chains line up with the checkpointed run's.
-	rig, o, err := buildRig(cfg, true)
+	rig, o, err := buildRig(cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -526,35 +531,4 @@ func ResumeMixed(opts ResumeOptions) (*MixedResult, error) {
 		fr.ExportErr = cerr
 	}
 	return fr.MixedResult, nil
-}
-
-// rewoundFile is a resume-reopened export file: truncated to the
-// checkpointed byte offset, positioned for append, buffered.
-type rewoundFile struct {
-	f  *os.File
-	bw *bufio.Writer
-}
-
-func rewindFile(path string, offset int64) (*rewoundFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(offset); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &rewoundFile{f: f, bw: bufio.NewWriterSize(f, 1<<20)}, nil
-}
-
-func (rf *rewoundFile) close() error {
-	ferr := rf.bw.Flush()
-	if cerr := rf.f.Close(); ferr == nil {
-		ferr = cerr
-	}
-	return ferr
 }

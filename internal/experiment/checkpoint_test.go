@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -336,6 +337,111 @@ func TestResumeRejectsMismatchedOutputs(t *testing.T) {
 	}
 	if _, err := ResumeMixed(ResumeOptions{Dir: t.TempDir(), TracePath: refTrace, Metrics: io.Discard}); err == nil {
 		t.Error("empty checkpoint directory accepted")
+	}
+}
+
+// A checkpoint must not land before the bytes its stream offsets count:
+// this run writes its trace and decision log into large bufio.Writers
+// that nothing ever flushes — all a killed process leaves behind — yet
+// resuming from a mid-run checkpoint still reproduces the uninterrupted
+// run byte for byte.
+func TestCheckpointFlushesExportsFirst(t *testing.T) {
+	dir := t.TempDir()
+	refTrace := filepath.Join(dir, "ref.jsonl")
+	refDec := filepath.Join(dir, "ref-decisions.jsonl")
+	refTables, refMetrics, refTraceBytes, refDecBytes := refOutputsWithDecisions(t, ckptTestConfig("", 0), refTrace, refDec)
+
+	cfg := ckptTestConfig(filepath.Join(dir, "ckpt"), 1)
+	runTrace := filepath.Join(dir, "run.jsonl")
+	runDec := filepath.Join(dir, "run-decisions.jsonl")
+	var ws []io.Writer
+	for _, path := range []string{runTrace, runDec} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ws = append(ws, bufio.NewWriterSize(f, 1<<20))
+	}
+	cfg.Trace, cfg.Decisions, cfg.Metrics = ws[0], ws[1], io.Discard
+	if res := RunMixed(cfg); res.ExportErr != nil {
+		t.Fatal(res.ExportErr)
+	}
+
+	indices := checkpointIndices(t, cfg.CheckpointDir)
+	sort.Ints(indices)
+	mid := indices[len(indices)/2]
+	var mb bytes.Buffer
+	res, err := ResumeMixed(ResumeOptions{
+		Dir:           cfg.CheckpointDir,
+		Index:         mid,
+		TracePath:     runTrace,
+		DecisionsPath: runDec,
+		Metrics:       &mb,
+	})
+	if err != nil {
+		t.Fatalf("resume from boundary %d: %v", mid, err)
+	}
+	if res.ExportErr != nil {
+		t.Fatal(res.ExportErr)
+	}
+	if mixedTables(res) != refTables {
+		t.Error("period tables diverged")
+	}
+	if !bytes.Equal(mb.Bytes(), refMetrics) {
+		t.Error("metrics exposition diverged")
+	}
+	for _, f := range []struct {
+		path string
+		want []byte
+	}{{runTrace, refTraceBytes}, {runDec, refDecBytes}} {
+		got, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, f.want) {
+			t.Errorf("%s diverged from the uninterrupted run (NUL bytes: %d)",
+				filepath.Base(f.path), bytes.Count(got, []byte{0}))
+		}
+	}
+}
+
+// A trace shorter than its checkpoint's offset lost bytes the checkpoint
+// counts. Resume must refuse it with an error naming the file, and leave
+// the file as it is instead of padding it with NUL bytes.
+func TestResumeRejectsShortExport(t *testing.T) {
+	dir := t.TempDir()
+	ckptDir := filepath.Join(dir, "ckpt")
+	runTrace := filepath.Join(dir, "run.jsonl")
+	refOutputs(t, ckptTestConfig(ckptDir, 1), runTrace)
+
+	snap := new(runSnapshot)
+	if _, ok, err := checkpoint.Latest(ckptDir, snap, io.Discard); err != nil || !ok {
+		t.Fatalf("no checkpoint: %v", err)
+	}
+	if err := os.Truncate(runTrace, snap.Trace.SinkBytes/2); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(runTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeMixed(ResumeOptions{Dir: ckptDir, TracePath: runTrace, Metrics: io.Discard})
+	if err == nil {
+		t.Fatal("resume over a trace shorter than the checkpoint's offset succeeded")
+	}
+	if !strings.Contains(err.Error(), runTrace) {
+		t.Errorf("error %q does not name the short file", err)
+	}
+	after, err := os.ReadFile(runTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("refused resume modified the trace")
+	}
+	if bytes.IndexByte(after, 0) >= 0 {
+		t.Error("trace holds NUL bytes")
 	}
 }
 

@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -195,25 +195,19 @@ func runCrashRecoveryCell(cfg CrashRecoveryConfig, crashAt float64, dir string, 
 	return nil
 }
 
-// runToFile runs one mixed config with its trace streamed (buffered) to
-// path and metrics to mw, flushing and closing the file afterwards. A
-// crashed run's partial trace is flushed too — the resume path truncates
-// it back to the checkpointed offset regardless of where the interrupted
-// process got to.
+// runToFile runs one mixed config with its trace streamed to a sink at
+// path and metrics to mw, closing the sink afterwards. A crashed run's
+// partial trace is closed too — the resume path truncates it back to the
+// checkpointed offset regardless of where the interrupted run got to.
 func runToFile(cfg MixedConfig, tracePath string, mw io.Writer) (*MixedResult, error) {
-	f, err := os.Create(tracePath)
+	s, err := trace.OpenSink(tracePath, 0)
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cfg.Trace = bw
+	cfg.Trace = s
 	cfg.Metrics = mw
 	res := RunMixed(cfg)
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		return nil, err
 	}
 	if res.ExportErr != nil && !res.Crashed {

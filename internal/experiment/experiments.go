@@ -336,10 +336,10 @@ func RunMixed(cfg MixedConfig) *MixedResult {
 // rig, fault injectors, controllers, retry policies, fleet planner,
 // failover wiring, then observability, whose decision-log meta line is
 // the last step before the first simulated event. ResumeMixed replays
-// the identical sequence (resume=true re-attaches the export sinks
-// without fresh meta lines), which is what lets a checkpoint re-arm
-// recorded events onto structurally identical components.
-func buildRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
+// the identical sequence over its rewound files, which is what lets a
+// checkpoint re-arm recorded events onto structurally identical
+// components.
+func buildRig(cfg MixedConfig) (*Rig, *runObs, error) {
 	if cfg.Faults != nil {
 		if err := cfg.Faults.ValidateRoster(len(cfg.Backends)); err != nil {
 			panic(err)
@@ -370,7 +370,7 @@ func buildRig(cfg MixedConfig, resume bool) (*Rig, *runObs, error) {
 	if mitigate {
 		wireFleetMitigation(rig, o)
 	}
-	if err := o.attach(rig, cfg, resume); err != nil {
+	if err := o.attach(rig, cfg); err != nil {
 		return rig, nil, err
 	}
 	return rig, o, nil

@@ -46,7 +46,7 @@ func RunFleet(cfg MixedConfig) *FleetResult {
 	if cfg.CheckpointEvery > 0 {
 		validateCheckpointing(cfg)
 	}
-	rig, o, obsErr := buildRig(cfg, false)
+	rig, o, obsErr := buildRig(cfg)
 	var spec RunSpec
 	if cfg.CheckpointEvery > 0 {
 		spec = specFromConfig(cfg, rig.Classes)

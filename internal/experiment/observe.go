@@ -36,24 +36,18 @@ type runObs struct {
 // whose controllers are already attached (hooks chain on top of the
 // monitors'), backends in roster order within each. Attachment order is
 // part of the resume contract. Nil writers disable the respective
-// output. With resume=true the sinks attach without writing meta lines —
-// the resumed files already carry the original headers. A fleet of one
-// exports exactly the paper's single-engine streams: no backend meta, no
-// backend labels, decision-log stream 0.
-func (o *runObs) attach(rig *Rig, cfg MixedConfig, resume bool) error {
+// output. Each stream writes its meta line first, except over a file
+// trace.Rewind reopened for a resume, which already carries it. A fleet
+// of one exports exactly the paper's single-engine streams: no backend
+// meta, no backend labels, decision-log stream 0.
+func (o *runObs) attach(rig *Rig, cfg MixedConfig) error {
 	if cfg.Trace != nil {
 		tr := trace.New(traceRingCap)
 		tr.SetPeriodMapper(cfg.Sched.PeriodAt)
-		if resume {
-			if err := tr.ResumeJSONL(cfg.Trace); err != nil {
-				return err
-			}
-		} else {
-			meta := traceMeta(cfg, rig.Classes)
-			meta.Backends = rig.backendsMeta()
-			if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
-				return err
-			}
+		meta := traceMeta(cfg, rig.Classes)
+		meta.Backends = rig.backendsMeta()
+		if err := tr.StreamJSONL(cfg.Trace, meta); err != nil {
+			return err
 		}
 		for _, b := range rig.Backends {
 			trace.AttachEngine(tr, b.Eng)
@@ -97,14 +91,7 @@ func (o *runObs) attach(rig *Rig, cfg MixedConfig, resume bool) error {
 		if rig.QS == nil {
 			return fmt.Errorf("experiment: decision log requires a query-scheduler run")
 		}
-		meta := decisionMeta(cfg, rig)
-		var dw *decisionlog.Writer
-		var err error
-		if resume {
-			dw, err = decisionlog.ResumeWriter(cfg.Decisions, meta)
-		} else {
-			dw, err = decisionlog.NewWriter(cfg.Decisions, meta)
-		}
+		dw, err := decisionlog.NewWriter(cfg.Decisions, decisionMeta(cfg, rig))
 		if err != nil {
 			return err
 		}
@@ -116,6 +103,30 @@ func (o *runObs) attach(rig *Rig, cfg MixedConfig, resume bool) error {
 			b.QS.OnPlan(func(rec core.PlanRecord) { dw.NoteBackend(stream, rec) })
 		}
 		o.dlog = dw
+	}
+	return nil
+}
+
+// flush pushes every byte the trace and decision-log streams have
+// written — all that a checkpoint's offsets count — out of their
+// writers' buffers to the OS, so a process killed once the checkpoint
+// is on disk still leaves files at least that long. Decision records
+// still pending their tick are checkpoint state, not bytes, and stay
+// pending.
+func (o *runObs) flush() error {
+	if o == nil {
+		return nil
+	}
+	var err error
+	if o.tracer != nil {
+		o.tracer.Flush()
+		err = o.tracer.Stream().Flush()
+	}
+	if o.dlog != nil && err == nil {
+		err = o.dlog.Stream().Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("experiment: flush export before checkpoint: %w", err)
 	}
 	return nil
 }

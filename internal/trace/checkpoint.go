@@ -27,12 +27,14 @@ type CheckpointState struct {
 func (t *Tracer) CheckpointState() CheckpointState {
 	t.Flush()
 	st := CheckpointState{
-		Seq:       t.seq,
-		Dropped:   t.dropped,
-		Plan:      t.plan,
-		LastPlan:  t.lastPlan,
-		SinkBytes: t.sinkBytes,
-		Events:    t.Events(),
+		Seq:      t.seq,
+		Dropped:  t.dropped,
+		Plan:     t.plan,
+		LastPlan: t.lastPlan,
+		Events:   t.Events(),
+	}
+	if t.stream != nil {
+		st.SinkBytes = t.stream.CheckpointState()
 	}
 	for k, n := range t.counts {
 		if n > 0 {
@@ -47,8 +49,9 @@ func (t *Tracer) CheckpointState() CheckpointState {
 }
 
 // RestoreCheckpoint overwrites a freshly constructed tracer (same
-// capacity as the checkpointed one). The sink and period mapper are not
-// restored — the caller re-attaches them (see ResumeJSONL).
+// capacity as the checkpointed one). The period mapper is not restored,
+// and the JSONL export must already be attached over the file rewound to
+// st.SinkBytes (see Rewind).
 func (t *Tracer) RestoreCheckpoint(st CheckpointState) {
 	if t.seq != 0 {
 		panic("trace: checkpoint restore onto a used tracer")
@@ -57,7 +60,9 @@ func (t *Tracer) RestoreCheckpoint(st CheckpointState) {
 	t.dropped = st.Dropped
 	t.plan = st.Plan
 	t.lastPlan = st.LastPlan
-	t.sinkBytes = st.SinkBytes
+	if t.stream != nil {
+		t.stream.RestoreCheckpoint(st.SinkBytes)
+	}
 	for _, kc := range st.Counts {
 		if k := int(kc.Kind); k >= 0 && k < numKinds {
 			t.counts[k] = kc.N

@@ -1,21 +1,135 @@
-// File sinks for the JSONL export: optional gzip compression (selected
-// by a .gz path suffix) and optional size-based rotation. The tracer
-// writes whole lines only, so rotation always lands on a line boundary;
-// each rotated segment re-starts with the run's meta line, keeping every
-// segment independently parseable by ScanJSONL/qtrace.
+// Export files and the resumable JSONL stream written into them.
+//
+// A Sink is an export file: optional gzip compression (selected by a .gz
+// path suffix) and optional size-based rotation. A Stream writes whole
+// lines only, so rotation always lands on a line boundary; each rotated
+// segment re-starts with the run's meta line, keeping every segment
+// independently parseable by ScanJSONL/qtrace.
+//
+// A Stream is one JSONL output — the trace or the decision log — with
+// the bookkeeping a checkpointed run needs to resume it: the byte offset
+// written so far, the first write error, and the rule that the meta
+// line comes first. Rewind reopens a file at a checkpointed offset.
 package trace
 
 import (
 	"bufio"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 )
 
-// Sink is a JSONL file sink. It implements io.Writer for the tracer and
-// must be closed after the run to flush buffers (and the gzip trailer).
+// Stream is one resumable JSONL output. It makes exactly one Write per
+// line on its writer, counts the bytes written (the offset a checkpoint
+// records and a resumed run rewinds the file to), and latches the first
+// error: later lines are dropped and the error is reported by Err once,
+// after the run. Not safe for concurrent use.
+type Stream struct {
+	w     io.Writer
+	bytes int64
+	//lint:ignore ckptcover latched export error; a resumed run reopens the file and starts clean
+	err error
+}
+
+// NewStream starts a stream on w whose first line is meta, encoded as
+// JSON. A Sink reopened by Rewind already holds the stream's first
+// bytes, meta line included, so a stream over it writes nothing now and
+// continues after them.
+func NewStream(w io.Writer, meta any) (*Stream, error) {
+	if w == nil {
+		return nil, fmt.Errorf("trace: nil stream writer")
+	}
+	s := &Stream{w: w}
+	if sk, ok := w.(*Sink); ok && sk.written > 0 {
+		s.bytes = sk.written
+		return s, nil
+	}
+	s.WriteJSON(json.Marshal(meta))
+	if s.err != nil {
+		return nil, fmt.Errorf("trace: write meta: %w", s.err)
+	}
+	return s, nil
+}
+
+// WriteLine appends one complete line, newline included. Tracer.Emit
+// reaches it, so it is on qlint's allocation-free hot path.
+func (s *Stream) WriteLine(line []byte) {
+	if s.err != nil {
+		return
+	}
+	n, err := s.w.Write(line)
+	s.bytes += int64(n)
+	if err != nil {
+		s.err = err
+	}
+}
+
+// WriteJSON appends one JSON value as a line, taking json.Marshal's
+// results as they are: s.WriteJSON(json.Marshal(v)). Marshalling in the
+// caller keeps the encoding cost in the caller's profile frames.
+func (s *Stream) WriteJSON(line []byte, err error) {
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("trace: encode JSON line: %w", err)
+	}
+	s.WriteLine(append(line, '\n'))
+}
+
+// Err returns the first error the stream hit, or nil.
+func (s *Stream) Err() error { return s.err }
+
+// Flush pushes the bytes the writer buffers — a *bufio.Writer or a Sink
+// — to the OS, so a process killed afterwards still leaves them in the
+// file. Writers without a Flush() error method are left as they are.
+func (s *Stream) Flush() error {
+	if f, ok := s.w.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return nil
+}
+
+// CheckpointState returns the stream's byte offset.
+func (s *Stream) CheckpointState() int64 { return s.bytes }
+
+// RestoreCheckpoint sets the byte offset of a stream resumed over a file
+// rewound to it (see Rewind).
+func (s *Stream) RestoreCheckpoint(offset int64) { s.bytes = offset }
+
+// Rewind reopens the plain (unrotated, uncompressed) file at path,
+// truncates it to offset — the bytes a checkpoint's stream had written —
+// and returns a sink appending from there. A file shorter than offset
+// lost bytes the checkpoint counts; Rewind then fails, naming the path,
+// the offset and the file size, and leaves the file unmodified.
+func Rewind(path string, offset int64) (*Sink, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, fmt.Errorf("trace: rewind: %w", err)
+	}
+	info, err := f.Stat()
+	if err == nil && info.Size() < offset {
+		err = fmt.Errorf("the file holds only %d bytes", info.Size())
+	}
+	if err == nil {
+		err = f.Truncate(offset)
+	}
+	if err == nil {
+		_, err = f.Seek(offset, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("trace: rewind %s to byte %d: %w", path, offset, err)
+	}
+	return &Sink{path: path, f: f, bw: bufio.NewWriterSize(f, sinkBufSize), written: offset}, nil
+}
+
+// sinkBufSize is a sink's write buffer: the trace writes one small line
+// per event, so buffering is what keeps exporting a 24-hour run cheap.
+const sinkBufSize = 1 << 16
+
+// Sink is an export file. It implements io.Writer and must be closed
+// after the run to flush buffers (and the gzip trailer).
 type Sink struct {
 	path        string
 	gzipped     bool
@@ -55,6 +169,9 @@ func (s *Sink) Gzipped() bool { return s.gzipped }
 // Rotations returns how many times the sink has rotated.
 func (s *Sink) Rotations() int { return s.rotations }
 
+// Name returns the sink's path.
+func (s *Sink) Name() string { return s.path }
+
 func (s *Sink) open() error {
 	f, err := os.Create(s.path)
 	if err != nil {
@@ -66,7 +183,7 @@ func (s *Sink) open() error {
 		s.gz = gzip.NewWriter(f)
 		w = s.gz
 	}
-	s.bw = bufio.NewWriterSize(w, 1<<16)
+	s.bw = bufio.NewWriterSize(w, sinkBufSize)
 	s.written = 0
 	return nil
 }
@@ -129,6 +246,15 @@ func (s *Sink) closeCurrent() error {
 	}
 	s.f = nil
 	return first
+}
+
+// Flush writes the buffered bytes through to the file (for a gzipped
+// sink, into the compressor: its output is complete only after Close).
+func (s *Sink) Flush() error {
+	if s.closed {
+		return fmt.Errorf("trace: flush of closed sink")
+	}
+	return s.bw.Flush()
 }
 
 // Close flushes and closes the sink. Safe to call once.

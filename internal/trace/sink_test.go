@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -116,5 +120,112 @@ func TestSinkCloseIdempotentAndWriteAfterCloseFails(t *testing.T) {
 func TestOpenSinkRejectsNegativeRotation(t *testing.T) {
 	if _, err := OpenSink(filepath.Join(t.TempDir(), "x.jsonl"), -1); err == nil {
 		t.Fatal("negative rotation threshold accepted")
+	}
+}
+
+// The trace write path allocates nothing once warm: Emit batches into a
+// reused buffer, Flush encodes each line into reused scratch, and the
+// stream hands it to the writer in one Write.
+func TestEmitThroughStreamDoesNotAllocate(t *testing.T) {
+	tr := New(64)
+	if err := tr.StreamJSONL(io.Discard, Meta{Experiment: "allocs"}); err != nil {
+		t.Fatal(err)
+	}
+	e := Event{Time: 1, Kind: QuerySubmit, Class: 1, Query: 7, Client: 3, Value: 125.5, Detail: "q1"}
+	for i := 0; i < 2*traceBatchSize; i++ {
+		tr.Emit(e)
+	}
+	if n := testing.AllocsPerRun(4*traceBatchSize, func() { tr.Emit(e) }); n != 0 {
+		t.Fatalf("Emit allocates %v times per event", n)
+	}
+	if err := tr.SinkErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Rewind cuts a file back to a checkpointed offset and appends from
+// there; a file shorter than the offset is refused and left as it is.
+func TestRewind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, []byte("{\"a\":1}\n{\"b\":2}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Rewind(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStream(s, "ignored: the file holds its meta line")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.CheckpointState(); got != 8 {
+		t.Fatalf("resumed stream at offset %d, want 8", got)
+	}
+	st.WriteLine([]byte("{\"c\":3}\n"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "{\"a\":1}\n{\"c\":3}\n" {
+		t.Fatalf("rewound file = %q", got)
+	}
+
+	_, err = Rewind(path, 100)
+	if err == nil {
+		t.Fatal("rewind past the end of the file succeeded")
+	}
+	for _, want := range []string{path, "100", "16 bytes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if got, _ := os.ReadFile(path); string(got) != "{\"a\":1}\n{\"c\":3}\n" {
+		t.Fatalf("refused rewind modified the file: %q", got)
+	}
+}
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct {
+	n      int
+	writes [][]byte
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(f.writes) == f.n {
+		return 0, fmt.Errorf("disk full")
+	}
+	f.writes = append(f.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// A stream makes one Write per line and latches its first error —
+// a write or an encode failure — dropping every later line.
+func TestStreamLatchesFirstError(t *testing.T) {
+	w := &failAfter{n: 2}
+	s, err := NewStream(w, map[string]string{"type": "meta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WriteLine([]byte("{\"a\":1}\n"))
+	if s.Err() != nil || len(w.writes) != 2 || s.CheckpointState() != int64(len(w.writes[0])+len(w.writes[1])) {
+		t.Fatalf("err=%v writes=%q offset=%d", s.Err(), w.writes, s.CheckpointState())
+	}
+	s.WriteLine([]byte("{\"b\":2}\n"))
+	first := s.Err()
+	if first == nil || !strings.Contains(first.Error(), "disk full") {
+		t.Fatalf("write error not latched: %v", first)
+	}
+	w.n = 10
+	s.WriteLine([]byte("{\"c\":3}\n"))
+	if len(w.writes) != 2 || s.Err() != first {
+		t.Fatalf("line written after the error: writes=%q err=%v", w.writes, s.Err())
+	}
+
+	s, err = NewStream(io.Discard, map[string]string{"type": "meta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WriteJSON(json.Marshal(math.NaN()))
+	if s.Err() == nil {
+		t.Fatal("encode error not latched")
 	}
 }

@@ -78,55 +78,37 @@ type jsonEvent struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// StreamJSONL attaches a lossless JSONL sink: the meta line is written
-// immediately and every subsequently emitted event is appended as one
-// line, regardless of ring eviction. Only one sink may be attached. The
-// caller owns w (and any buffering/closing); write errors after this call
-// are latched and reported by SinkErr.
+// StreamJSONL attaches a lossless JSONL export: every subsequently
+// emitted event is appended as one line, regardless of ring eviction.
+// The meta line goes first, unless w is a Sink reopened by Rewind, which
+// already holds it (see NewStream). Only one export may be attached. The
+// caller owns w (and any buffering/closing); write errors after this
+// call are latched and reported by SinkErr.
 func (t *Tracer) StreamJSONL(w io.Writer, meta Meta) error {
-	if t.sink != nil {
+	if t.stream != nil {
 		return fmt.Errorf("trace: JSONL sink already attached")
 	}
 	meta.Version = FormatVersion
-	line, err := json.Marshal(jsonMeta{Type: "meta", Meta: meta})
+	s, err := NewStream(w, jsonMeta{Type: "meta", Meta: meta})
 	if err != nil {
-		return fmt.Errorf("trace: encode meta: %w", err)
+		return err
 	}
-	n, err := w.Write(append(line, '\n'))
-	t.sinkBytes += int64(n)
-	if err != nil {
-		return fmt.Errorf("trace: write meta: %w", err)
-	}
-	t.sink = w
+	t.stream = s
 	return nil
 }
 
-// ResumeJSONL re-attaches a JSONL sink after a checkpoint restore,
-// without writing a meta line: the resumed file already carries the
-// original header and every event up to the checkpoint (the caller
-// truncates it to the checkpointed SinkBytes offset first).
-func (t *Tracer) ResumeJSONL(w io.Writer) error {
-	if t.sink != nil {
-		return fmt.Errorf("trace: JSONL sink already attached")
-	}
-	t.sink = w
-	return nil
-}
+// Stream returns the tracer's JSONL export, or nil when none is attached.
+func (t *Tracer) Stream() *Stream { return t.stream }
 
-// SinkBytes returns how many bytes the tracer has written to its sink —
-// the truncation offset a resumed run rewinds the trace file to. Reading
-// it flushes any batched events first, so the offset is always exact.
-func (t *Tracer) SinkBytes() int64 {
-	t.Flush()
-	return t.sinkBytes
-}
-
-// SinkErr returns the first error the JSONL sink hit, or nil. Emit never
-// fails loudly on the hot path; callers check this once after the run
-// (the check flushes any still-batched events).
+// SinkErr returns the first error the JSONL export hit, or nil. Emit
+// never fails loudly on the hot path; callers check this once after the
+// run (the check flushes any still-batched events).
 func (t *Tracer) SinkErr() error {
+	if t.stream == nil {
+		return nil
+	}
 	t.Flush()
-	return t.sinkErr
+	return t.stream.err
 }
 
 // appendEventLine encodes one event line into buf — a hand-rolled

@@ -124,12 +124,10 @@ type Tracer struct {
 	counts    [numKinds]uint64
 	farCounts map[Kind]uint64 // out-of-range kinds (never in normal runs)
 
-	periodOf  func(simclock.Time) int // stamps Event.Period; may be nil
-	plan      int                     // current plan version
-	lastPlan  string                  // last emitted plan detail (dedup)
-	sink      io.Writer               // lossless JSONL sink; may be nil
-	sinkErr   error                   // first sink write error, latched
-	sinkBytes int64                   // bytes written to the sink so far
+	periodOf func(simclock.Time) int // stamps Event.Period; may be nil
+	plan     int                     // current plan version
+	lastPlan string                  // last emitted plan detail (dedup)
+	stream   *Stream                 // lossless JSONL export; may be nil
 
 	pending []Event // events awaiting JSONL encoding (batched dispatch)
 	scratch []byte  // reused JSONL line-encoding buffer
@@ -174,7 +172,7 @@ func (t *Tracer) Emit(e Event) {
 		}
 		t.farCounts[e.Kind]++
 	}
-	if t.sink != nil && t.sinkErr == nil {
+	if t.stream != nil && t.stream.err == nil {
 		t.pending = append(t.pending, e)
 		if len(t.pending) >= traceBatchSize {
 			t.Flush()
@@ -189,29 +187,16 @@ func (t *Tracer) Emit(e Event) {
 	t.dropped++
 }
 
-// Flush drains the batched events to the JSONL sink, encoding each line
-// into a reused scratch buffer. Lines are written one Write call at a
-// time because the rotating sink relies on whole-line writes. Emit calls
-// it when the batch buffer fills; SinkBytes/SinkErr (and therefore every
-// checkpoint capture and end-of-run export) force it, so no reader ever
-// observes sink state with events still buffered.
+// Flush drains the batched events into the JSONL stream, encoding each
+// line into a reused scratch buffer. Emit calls it when the batch buffer
+// fills; SinkErr and CheckpointState (and therefore every checkpoint
+// capture and end-of-run export) force it, so no reader ever observes
+// the stream's offset with events still batched.
 func (t *Tracer) Flush() {
-	if len(t.pending) == 0 {
-		return
-	}
-	if t.sink == nil || t.sinkErr != nil {
-		t.pending = t.pending[:0]
-		return
-	}
-	for i := range t.pending {
+	for i := 0; i < len(t.pending) && t.stream.err == nil; i++ {
 		line := appendEventLine(t.scratch[:0], &t.pending[i])
 		t.scratch = line
-		n, err := t.sink.Write(line)
-		t.sinkBytes += int64(n)
-		if err != nil {
-			t.sinkErr = err
-			break
-		}
+		t.stream.WriteLine(line)
 	}
 	t.pending = t.pending[:0]
 }
