@@ -11,8 +11,9 @@
 //
 // Classes may be named by numeric ID, letter (A = first class in the log
 // header), or name; ticks are 1-based. -window N-M restricts -timeline
-// and -why to a tick range. All analysis lives in internal/decisionlog
-// and streams its inputs, so memory stays constant regardless of log or
+// and -why to a tick range. Every input may be gzipped (a .gz export
+// from qsim/qsweep). All analysis lives in internal/decisionlog and
+// streams its inputs, so memory stays constant regardless of log or
 // trace size.
 package main
 
@@ -25,6 +26,7 @@ import (
 	"os"
 
 	"repro/internal/decisionlog"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -55,23 +57,23 @@ func main() {
 
 	switch {
 	case *why != "":
-		err = withLog(flag.Arg(0), func(r io.Reader) error {
+		err = withFile(flag.Arg(0), func(r io.Reader) error {
 			return decisionlog.Why(out, r, *why, win)
 		})
 	case *timeline:
-		err = withLog(flag.Arg(0), func(r io.Reader) error {
+		err = withFile(flag.Arg(0), func(r io.Reader) error {
 			return decisionlog.Timeline(out, r, win)
 		})
 	case *attr:
 		err = runAttr(out, flag.Arg(0), *tracePath)
 	default:
-		err = withLog(flag.Arg(0), func(r io.Reader) error {
+		err = withFile(flag.Arg(0), func(r io.Reader) error {
 			return decisionlog.Summarize(out, r)
 		})
 	}
 	// Spec mistakes (bad class, tick window past the end of the log) are
 	// usage errors, not log problems: exit 2, like qtrace.
-	var spec *decisionlog.SpecError
+	var spec *trace.SpecError
 	if errors.As(err, &spec) {
 		out.Flush()
 		fmt.Fprintln(os.Stderr, "qreport:", err)
@@ -90,11 +92,7 @@ func main() {
 	}
 }
 
-// withLog opens the decision log with a large read buffer and runs fn.
-func withLog(path string, fn func(io.Reader) error) error {
-	return withFile(path, fn)
-}
-
+// withFile opens path with a large read buffer and runs fn.
 func withFile(path string, fn func(io.Reader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -108,7 +106,7 @@ func withFile(path string, fn func(io.Reader) error) error {
 func runAttr(out io.Writer, decisionsPath, tracePath string) error {
 	var rows []decisionlog.Attribution
 	var meta decisionlog.Meta
-	err := withLog(decisionsPath, func(dr io.Reader) error {
+	err := withFile(decisionsPath, func(dr io.Reader) error {
 		return withFile(tracePath, func(tr io.Reader) error {
 			var err error
 			rows, meta, err = decisionlog.Attribute(dr, tr)

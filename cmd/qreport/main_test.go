@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/simclock"
 	"repro/internal/solver"
+	"repro/internal/trace"
 )
 
 // TestMain lets the test binary impersonate the CLI: with QREPORT_MAIN=1
@@ -111,5 +112,43 @@ func TestMissingLogExits1(t *testing.T) {
 	_, _, code := runCLI(t, filepath.Join(t.TempDir(), "nope.jsonl"))
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
+	}
+}
+
+// qsim writes any .gz path gzipped; qreport must read such a decision
+// log and metrics exposition exactly as it reads the plain files.
+func TestReadsGzippedInputs(t *testing.T) {
+	plain := writeDecisions(t)
+	expo := []byte("# TYPE qs_slo_attainment_ratio gauge\nqs_slo_attainment_ratio{class=\"1\"} 0.5\n")
+	dir := t.TempDir()
+	gzipTo := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		s, err := trace.OpenSink(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Write(data)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	raw, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainExpo := filepath.Join(dir, "m.prom")
+	if err := os.WriteFile(plainExpo, expo, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gzLog, gzExpo := gzipTo("d.jsonl.gz", raw), gzipTo("m.prom.gz", expo)
+
+	want, stderr, code := runCLI(t, "-metrics", plainExpo, plain)
+	if code != 0 || !strings.Contains(want, "qs_slo_attainment_ratio") {
+		t.Fatalf("plain inputs: exit %d\n%s%s", code, want, stderr)
+	}
+	got, stderr, code := runCLI(t, "-metrics", gzExpo, gzLog)
+	if code != 0 || got != want {
+		t.Fatalf("gzipped inputs: exit %d\n%s\nwant\n%s\nstderr: %s", code, got, want, stderr)
 	}
 }

@@ -118,7 +118,7 @@ func main() {
 		}
 	}
 	defer stopProfile()
-	traceCompressed := strings.HasSuffix(*traceFile, ".gz")
+	compressed := strings.HasSuffix(*traceFile, ".gz") || strings.HasSuffix(*decisionsFile, ".gz")
 	if *checkpointEvery > 0 {
 		if *checkpointDir == "" && *resumeDir == "" {
 			fmt.Fprintln(os.Stderr, "-checkpoint-every requires -checkpoint-dir")
@@ -129,10 +129,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if (*checkpointEvery > 0 || *resumeDir != "") && (*traceRotate > 0 || traceCompressed) {
-		// Resume rewinds the trace file to a checkpointed byte offset;
-		// rotation and compression destroy that stable offset.
-		fmt.Fprintln(os.Stderr, "checkpointing requires a plain -trace file (no -trace-rotate, no .gz)")
+	if (*checkpointEvery > 0 || *resumeDir != "") && (*traceRotate > 0 || compressed) {
+		// Resume rewinds the trace and the decision log to checkpointed
+		// byte offsets; rotation and compression destroy a stable offset.
+		fmt.Fprintln(os.Stderr, "checkpointing requires plain -trace and -decisions files (no -trace-rotate, no .gz)")
 		os.Exit(2)
 	}
 

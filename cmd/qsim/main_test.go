@@ -119,3 +119,27 @@ func TestSIGKILLAfterCheckpointResumesByteIdentical(t *testing.T) {
 			len(got), len(want), bytes.Count(got, []byte{0}))
 	}
 }
+
+// A checkpoint records the trace's and the decision log's byte offsets,
+// which a compressed export cannot be rewound to: qsim must refuse a .gz
+// -trace or -decisions file up front, for a checkpointed run and for a
+// resume alike, before writing anything.
+func TestCheckpointingRefusesCompressedExports(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	gz := filepath.Join(dir, "export.jsonl.gz")
+	for _, args := range [][]string{
+		{"-exp", "infeasible", "-decisions", gz, "-checkpoint-every", "1", "-checkpoint-dir", ckpt},
+		{"-exp", "infeasible", "-trace", gz, "-checkpoint-every", "1", "-checkpoint-dir", ckpt},
+		{"-resume", ckpt, "-decisions", gz},
+	} {
+		_, stderr, code := runCLI(t, args...)
+		if code != 2 || !strings.Contains(stderr, "no .gz") {
+			t.Errorf("%v: exit %d, want 2 with a .gz error\nstderr: %s", args, code, stderr)
+		}
+		if _, err := os.Stat(gz); err == nil {
+			t.Errorf("%v: wrote %s before refusing it", args, gz)
+			os.Remove(gz)
+		}
+	}
+}

@@ -189,13 +189,12 @@ func main() {
 	// Validate every value up front so a bad one aborts before any runs.
 	cfgs := make([]core.Config, len(sweep))
 	for i, v := range sweep {
-		cfgs[i] = core.DefaultConfig()
-		cfgs[i].SystemCostLimit = experiment.SystemCostLimit
 		if *mitigate {
-			// Overlay the degradation features, then let the swept
-			// parameter take effect on top.
-			cfgs[i].Degradation = core.Degradation{HoldPlanOnDropout: true, MaxHeldTicks: 5}
-			cfgs[i].OLTP.FallbackToLastFit = true
+			// The swept parameter takes effect on top of the mitigation.
+			cfgs[i] = experiment.MitigatedQSConfig()
+		} else {
+			cfgs[i] = core.DefaultConfig()
+			cfgs[i].SystemCostLimit = experiment.SystemCostLimit
 		}
 		if err := setter(&cfgs[i], v); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -10,7 +10,8 @@
 // name; periods 1-based as the tables print them. The explanation breaks
 // the cell's response time into admission wait vs execution, draws the
 // held-queue depth over the period, lists plan changes, and draws a
-// per-query lifetime Gantt. All analysis lives in internal/trace.
+// per-query lifetime Gantt. The trace may be gzipped (a .gz export). All
+// analysis lives in internal/trace.
 package main
 
 import (
@@ -35,8 +36,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Both views stream the trace — memory stays bounded by the answer
-	// (the summary tallies, or one class's events), not the trace size.
+	// Both views stream the trace, plain or gzipped — memory stays
+	// bounded by the answer (the summary tallies, or one class's queries
+	// in flight and the window's completions), not the trace size.
 	br := bufio.NewReaderSize(f, 1<<20)
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -43,14 +43,6 @@ type ClassMeta struct {
 	Importance int     `json:"importance"`
 }
 
-// BackendMeta describes one fleet backend in the meta line.
-type BackendMeta struct {
-	ID   int     `json:"id"` // 1-based, matches Record.Backend
-	Name string  `json:"name"`
-	CPU  float64 `json:"cpu"`
-	IO   float64 `json:"io"`
-}
-
 // Meta is the log's first line: format version, run identity, and the
 // class roster with goals.
 type Meta struct {
@@ -62,9 +54,10 @@ type Meta struct {
 	SLOWindow       int         `json:"slo_window"`
 	SLOBudget       float64     `json:"slo_budget"`
 	Classes         []ClassMeta `json:"classes"`
-	// Backends is the fleet roster; empty (and omitted) for
-	// single-backend runs, keeping legacy logs byte-identical.
-	Backends []BackendMeta `json:"backends,omitempty"`
+	// Backends is the fleet roster, as the trace header holds it (IDs
+	// match Record.Backend); empty (and omitted) for single-backend runs,
+	// keeping legacy logs byte-identical.
+	Backends []trace.BackendMeta `json:"backends,omitempty"`
 }
 
 // ClassDecision is one class's row in a decision record: the measured

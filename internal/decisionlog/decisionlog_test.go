@@ -89,7 +89,7 @@ func TestWriterBackfillsActual(t *testing.T) {
 	var recs []Record
 	err = ScanJSONL(bytes.NewReader(buf.Bytes()),
 		func(m Meta) error { meta = m; return nil },
-		func(r Record) error { recs = append(recs, r); return nil })
+		func(r Record) error { recs = append(recs, r); return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestWriterHeldAndDroppedTicks(t *testing.T) {
 
 	var recs []Record
 	if err := ScanJSONL(bytes.NewReader(buf.Bytes()), nil,
-		func(r Record) error { recs = append(recs, r); return nil }); err != nil {
+		func(r Record) error { recs = append(recs, r); return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 3 {
@@ -184,7 +184,7 @@ func TestWriterIdleClassYieldsNoOutcome(t *testing.T) {
 
 	var recs []Record
 	if err := ScanJSONL(bytes.NewReader(buf.Bytes()), nil,
-		func(r Record) error { recs = append(recs, r); return nil }); err != nil {
+		func(r Record) error { recs = append(recs, r); return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if recs[0].Actual != nil {
@@ -264,14 +264,14 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 func TestScanJSONLErrors(t *testing.T) {
-	if err := ScanJSONL(strings.NewReader(""), nil, nil); err == nil {
+	if err := ScanJSONL(strings.NewReader(""), nil, nil, nil); err == nil {
 		t.Fatal("empty log accepted")
 	}
-	if err := ScanJSONL(strings.NewReader(`{"type":"decision"}`+"\n"), nil, nil); err == nil {
+	if err := ScanJSONL(strings.NewReader(`{"type":"decision"}`+"\n"), nil, nil, nil); err == nil {
 		t.Fatal("record-first log accepted")
 	}
 	bad := `{"type":"meta","version":99,"classes":[{"id":1}]}` + "\n"
-	if err := ScanJSONL(strings.NewReader(bad), nil, nil); err == nil {
+	if err := ScanJSONL(strings.NewReader(bad), nil, nil, nil); err == nil {
 		t.Fatal("future version accepted")
 	}
 }

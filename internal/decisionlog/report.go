@@ -23,37 +23,20 @@ import (
 	"repro/internal/workload"
 )
 
-// SpecError marks a malformed or out-of-range query spec, so callers can
-// distinguish usage mistakes from log problems (same split qtrace makes).
-type SpecError struct{ Err error }
-
-func (e *SpecError) Error() string { return e.Err.Error() }
-func (e *SpecError) Unwrap() error { return e.Err }
-
 // TickRange selects an inclusive 1-based tick window; zero bounds are
 // open ("" selects everything, "7" one tick, "3-5" a range).
 type TickRange struct{ From, To int }
 
 // ParseTickRange parses "", "N", or "N-M".
 func ParseTickRange(spec string) (TickRange, error) {
-	var tr TickRange
 	if spec == "" {
-		return tr, nil
+		return TickRange{}, nil
 	}
-	lo, hi, ranged := strings.Cut(spec, "-")
-	n, err := strconv.Atoi(lo)
-	if err != nil || n < 1 {
-		return tr, fmt.Errorf("report: bad tick %q", spec)
+	from, to, err := trace.ParseRange(spec)
+	if err != nil {
+		return TickRange{}, fmt.Errorf("report: tick: %w", err)
 	}
-	tr.From, tr.To = n, n
-	if ranged {
-		m, err := strconv.Atoi(hi)
-		if err != nil || m < n {
-			return tr, fmt.Errorf("report: bad tick range %q", spec)
-		}
-		tr.To = m
-	}
-	return tr, nil
+	return TickRange{From: from, To: to}, nil
 }
 
 // Validate rejects a window whose explicit bounds lie beyond the log's
@@ -97,31 +80,6 @@ func metricLabel(cm ClassMeta) string {
 		return "v"
 	}
 	return "rt"
-}
-
-// resolveClass maps a class spec (numeric ID, letter A.. in roster
-// order, or name) to a roster class.
-func resolveClass(val string, meta Meta) (ClassMeta, error) {
-	if n, err := strconv.Atoi(val); err == nil {
-		for _, c := range meta.Classes {
-			if c.ID == n {
-				return c, nil
-			}
-		}
-		return ClassMeta{}, fmt.Errorf("report: no class with ID %d in log", n)
-	}
-	if len(val) == 1 && val[0] >= 'A' && val[0] <= 'Z' {
-		if i := int(val[0] - 'A'); i < len(meta.Classes) {
-			return meta.Classes[i], nil
-		}
-		return ClassMeta{}, fmt.Errorf("report: class %q but log has only %d classes", val, len(meta.Classes))
-	}
-	for _, c := range meta.Classes {
-		if strings.EqualFold(c.Name, val) {
-			return c, nil
-		}
-	}
-	return ClassMeta{}, fmt.Errorf("report: unknown class %q", val)
 }
 
 // classSummary accumulates one class's tallies over the whole log.
@@ -230,7 +188,7 @@ func (a *summaryAcc) render(w io.Writer) {
 			sort.Ints(ids)
 			parts := make([]string, 0, len(ids))
 			for _, id := range ids {
-				parts = append(parts, fmt.Sprintf("%s x%d", a.className(id), a.binding[id]))
+				parts = append(parts, fmt.Sprintf("%s x%d", metaClassName(a.meta, id), a.binding[id]))
 			}
 			fmt.Fprintf(w, " (binding: %s)", strings.Join(parts, ", "))
 		}
@@ -258,15 +216,6 @@ func (a *summaryAcc) render(w io.Writer) {
 	}
 }
 
-func (a *summaryAcc) className(id int) string {
-	for _, c := range a.meta.Classes {
-		if c.ID == id {
-			return c.Name
-		}
-	}
-	return fmt.Sprintf("class %d", id)
-}
-
 // Summarize streams a decision log and writes the run summary: header,
 // solver/feasibility tallies, and the SLO attainment table. Nothing is
 // written until the scan succeeds. Fleet logs (meta carrying a backend
@@ -284,7 +233,7 @@ func Summarize(w io.Writer, r io.Reader) error {
 			}
 			a.add(rec)
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		return err
 	}
@@ -323,7 +272,7 @@ func Timeline(w io.Writer, r io.Reader, window TickRange) error {
 	var meta Meta
 	var health fleetHealth
 	lastTick := 0
-	err := ScanJSONLWithFleet(r,
+	err := ScanJSONL(r,
 		func(m Meta) error {
 			meta = m
 			fmt.Fprintf(w, "Decision timeline: %s (seed %d)\n", m.Experiment, m.Seed)
@@ -344,7 +293,7 @@ func Timeline(w io.Writer, r io.Reader, window TickRange) error {
 		return err
 	}
 	if verr := window.Validate(lastTick); verr != nil {
-		return &SpecError{Err: verr}
+		return &trace.SpecError{Err: verr}
 	}
 	health.render(w, meta)
 	return nil
@@ -507,11 +456,10 @@ func (fh *fleetHealth) capacityNote(t float64) string {
 	return "capacity lost: " + strings.Join(parts, ", ")
 }
 
+// metaClassName names a roster class, or falls back to its ID.
 func metaClassName(meta Meta, id int) string {
-	for _, c := range meta.Classes {
-		if c.ID == id {
-			return c.Name
-		}
+	if c, ok := metaClass(meta, id); ok {
+		return c.Name
 	}
 	return fmt.Sprintf("class %d", id)
 }
@@ -547,34 +495,22 @@ type WhyQuery struct {
 // ticks are 1-based, singly ("tick=4") or as a range ("tick=3-5").
 func ParseWhyQuery(spec string, meta Meta) (WhyQuery, error) {
 	var q WhyQuery
-	sawClass := false
-	for _, field := range strings.Fields(spec) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return q, fmt.Errorf("report: %q is not key=value", field)
-		}
-		switch key {
-		case "class":
-			cm, err := resolveClass(val, meta)
-			if err != nil {
-				return q, err
-			}
-			q.Class = cm
-			sawClass = true
-		case "tick":
-			tr, err := ParseTickRange(val)
-			if err != nil {
-				return q, err
-			}
-			q.Window = tr
-		default:
-			return q, fmt.Errorf("report: unknown key %q (want class=, tick=)", key)
-		}
+	f, err := trace.ParseSpec(spec, "class", "tick")
+	if err != nil {
+		return q, fmt.Errorf("report: %w", err)
 	}
-	if !sawClass {
+	if f["class"] == "" {
 		return q, fmt.Errorf("report: spec %q must set class=", spec)
 	}
-	return q, nil
+	i, err := trace.ResolveClass(f["class"], len(meta.Classes), func(i int) (int, string) {
+		return meta.Classes[i].ID, meta.Classes[i].Name
+	})
+	if err != nil {
+		return q, fmt.Errorf("report: %w", err)
+	}
+	q.Class = meta.Classes[i]
+	q.Window, err = ParseTickRange(f["tick"])
+	return q, err
 }
 
 // Why streams a decision log and writes one explanation block per tick
@@ -584,16 +520,16 @@ func ParseWhyQuery(spec string, meta Meta) (WhyQuery, error) {
 // actual outcome. On fleet logs an INFEASIBLE verdict also names the
 // capacity lost (backends down or degraded at that tick), so "the plan
 // can't meet the goal" reads as "because a backend died", not as a
-// solver mystery. Spec errors are wrapped in *SpecError.
+// solver mystery. Spec errors are wrapped in *trace.SpecError.
 func Why(w io.Writer, r io.Reader, spec string, window TickRange) error {
 	var q WhyQuery
 	var health fleetHealth
 	lastTick := 0
-	err := ScanJSONLWithFleet(r,
+	err := ScanJSONL(r,
 		func(m Meta) error {
 			var err error
 			if q, err = ParseWhyQuery(spec, m); err != nil {
-				return &SpecError{Err: err}
+				return &trace.SpecError{Err: err}
 			}
 			cm := q.Class
 			dir := ">="
@@ -620,7 +556,7 @@ func Why(w io.Writer, r io.Reader, spec string, window TickRange) error {
 	}
 	for _, tr := range []TickRange{window, q.Window} {
 		if verr := tr.Validate(lastTick); verr != nil {
-			return &SpecError{Err: verr}
+			return &trace.SpecError{Err: verr}
 		}
 	}
 	return nil
@@ -734,80 +670,10 @@ type Attribution struct {
 	HasCeiling  bool
 }
 
-// queryState tracks one in-flight attempt while scanning the trace,
-// keyed by query ID (a closed-loop client's next submit can precede the
-// previous query's done event at the same instant, so client identity
-// alone cannot hold per-attempt state). firstSubmit reaches back through
-// retries: resubmissions get fresh query IDs, but the QueryRetried event
-// marks the failed attempt, and the client is blocked until its logical
-// query resolves, so the client's next submit is the retry.
-type queryState struct {
-	class       engine.ClassID
-	firstSubmit float64
-	lastSubmit  float64
-	start       float64
-	started     bool
-}
-
-// attrAcc accumulates per-class attribution inputs from a trace scan.
-// Memory is bounded by in-flight queries plus faults, never trace length.
-type attrAcc struct {
-	inflight map[engine.QueryID]*queryState
-	// carry[client] holds a retried logical query's first submit time
-	// until the retry's resubmission claims it.
-	carry map[engine.ClientID]float64
-	class map[int]*Attribution
-}
-
-func (a *attrAcc) add(e trace.Event) {
-	switch e.Kind {
-	case trace.QuerySubmit:
-		st := &queryState{class: e.Class, firstSubmit: float64(e.Time), lastSubmit: float64(e.Time)}
-		if first, ok := a.carry[e.Client]; ok {
-			st.firstSubmit = first
-			delete(a.carry, e.Client)
-		} else if at := a.class[int(e.Class)]; at != nil {
-			at.Submitted++ // a carry-claiming submit is a retry, not a new logical query
-		}
-		a.inflight[e.Query] = st
-	case trace.QueryAborted:
-		if at := a.class[int(e.Class)]; at != nil {
-			at.Aborted++
-		}
-	case trace.QueryStart:
-		if st := a.inflight[e.Query]; st != nil {
-			st.start = float64(e.Time)
-			st.started = true
-		}
-	case trace.QueryRetried:
-		// Fires when a failed attempt is re-queued: the resubmission (the
-		// client's next submit, under a fresh query ID) continues the same
-		// logical query, so its first-submit time carries over. Exhausted
-		// aborts never fire this, leaving a dead inflight entry behind —
-		// bounded by the run's fault count.
-		if st := a.inflight[e.Query]; st != nil {
-			a.carry[e.Client] = st.firstSubmit
-			delete(a.inflight, e.Query)
-		}
-	case trace.QueryDone:
-		st := a.inflight[e.Query]
-		if st == nil || !st.started {
-			return
-		}
-		if at := a.class[int(st.class)]; at != nil {
-			at.Completed++
-			at.FaultTime += st.lastSubmit - st.firstSubmit
-			at.WaitTime += st.start - st.lastSubmit
-			at.ExecTime += float64(e.Time) - st.start
-		}
-		delete(a.inflight, e.Query)
-	}
-}
-
 // Attribute joins a decision log (for the goal roster and model
 // ceilings) with a trace (for per-query lifecycle time) into per-class
 // violation attributions, in roster order. Both inputs are streamed;
-// state is bounded by the roster and the number of concurrent clients.
+// state is bounded by the roster and the queries in flight.
 func Attribute(decisions, tr io.Reader) ([]Attribution, Meta, error) {
 	var meta Meta
 	type ceiling struct {
@@ -842,30 +708,49 @@ func Attribute(decisions, tr io.Reader) ([]Attribution, Meta, error) {
 				}
 			}
 			return nil
-		})
+		}, nil)
 	if err != nil {
 		return nil, meta, err
 	}
 
-	acc := &attrAcc{
-		inflight: make(map[engine.QueryID]*queryState),
-		carry:    make(map[engine.ClientID]float64),
-		class:    make(map[int]*Attribution, len(meta.Classes)),
-	}
 	out := make([]Attribution, len(meta.Classes))
+	byID := make(map[engine.ClassID]*Attribution, len(meta.Classes))
 	for i, c := range meta.Classes {
 		out[i].Class = c
 		if ce := ceilings[c.ID]; ce.seen {
 			out[i].BestCeiling, out[i].HasCeiling = ce.best, true
 		}
-		acc.class[c.ID] = &out[i]
+		byID[engine.ClassID(c.ID)] = &out[i]
 	}
-	err = trace.ScanJSONL(tr,
-		func(trace.Meta) error { return nil },
-		func(e trace.Event) error { acc.add(e); return nil })
+	// Per logical query: fault time (failed attempts and retry backoff,
+	// first submit to last submit), admission wait (last submit to
+	// start) and execution (start to done).
+	spans := trace.NewLifecycles(func(s *trace.Span) {
+		at := byID[s.Class]
+		if at == nil || !s.Completed() || !s.Started() {
+			return
+		}
+		at.Completed++
+		at.FaultTime += float64(s.Submit - s.FirstSubmit)
+		at.WaitTime += s.AdmissionWait()
+		at.ExecTime += s.ExecTime()
+	})
+	err = trace.ScanJSONL(tr, nil, func(e trace.Event) error {
+		s := spans.Add(e)
+		if at := byID[e.Class]; at != nil {
+			switch {
+			case e.Kind == trace.QueryAborted:
+				at.Aborted++
+			case e.Kind == trace.QuerySubmit && s.Attempts == 1:
+				at.Submitted++
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, meta, err
 	}
+	spans.Close()
 	for i := range out {
 		out[i].attribute()
 	}
@@ -1016,12 +901,17 @@ var metricsFamilies = []string{
 	"qs_infeasible_binding_total",
 }
 
-// MetricsCrossCheck streams a Prometheus text exposition and echoes the
-// SLO and feasibility families, so an operator can eyeball the decision
-// log's accounting against the run's exported metrics.
+// MetricsCrossCheck streams a Prometheus text exposition, plain or
+// gzipped, and echoes the SLO and feasibility families, so an operator
+// can eyeball the decision log's accounting against the run's exported
+// metrics.
 func MetricsCrossCheck(w io.Writer, r io.Reader) error {
+	in, err := trace.OpenInput(r)
+	if err != nil {
+		return fmt.Errorf("report: metrics: %w", err)
+	}
 	fmt.Fprintln(w, "Metrics cross-check (qs_slo_* / qs_infeasible_* families):")
-	sc := bufio.NewScanner(r)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	matched := false
 	for sc.Scan() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 func TestParseTickRange(t *testing.T) {
@@ -182,7 +183,7 @@ func TestWhy(t *testing.T) {
 
 	out.Reset()
 	err := Why(&out, bytes.NewReader(log), "class=9", TickRange{})
-	var spec *SpecError
+	var spec *trace.SpecError
 	if !errors.As(err, &spec) {
 		t.Fatalf("bad spec error = %v", err)
 	}
@@ -377,7 +378,7 @@ func TestTimelineRejectsWindowPastLastTick(t *testing.T) {
 	for _, tr := range []TickRange{{From: 99, To: 99}, {From: 3, To: 99}} {
 		var out bytes.Buffer
 		err := Timeline(&out, bytes.NewReader(log), tr)
-		var spec *SpecError
+		var spec *trace.SpecError
 		if !errors.As(err, &spec) {
 			t.Errorf("Timeline(%+v) = %v, want SpecError", tr, err)
 		}
@@ -393,7 +394,7 @@ func TestWhyRejectsWindowPastLastTick(t *testing.T) {
 	log := buildTestLog(t) // 3 ticks
 	var out bytes.Buffer
 	err := Why(&out, bytes.NewReader(log), "class=A tick=3-99", TickRange{})
-	var spec *SpecError
+	var spec *trace.SpecError
 	if !errors.As(err, &spec) {
 		t.Fatalf("spec window past end = %v, want SpecError", err)
 	}
@@ -541,7 +542,7 @@ func buildFleetTestLog(t *testing.T, infeasibleTick2 bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	meta := testMeta()
-	meta.Backends = []BackendMeta{{ID: 1, Name: "b1"}, {ID: 2, Name: "b2"}}
+	meta.Backends = []trace.BackendMeta{{ID: 1, Name: "b1"}, {ID: 2, Name: "b2"}}
 	dw, err := NewWriter(&buf, meta)
 	if err != nil {
 		t.Fatal(err)

@@ -1,102 +1,51 @@
-// Streaming decision-log reader: one meta callback, one record callback
-// per line, constant memory. The same shape as trace.ScanJSONL so
-// cmd/qreport can join the two streams without buffering either.
+// Streaming decision-log reader: trace.ScanLines does the line work, so
+// a decision log reads exactly like a trace — plain or gzipped, one
+// callback per line type, constant memory — and cmd/qreport can join the
+// two streams without buffering either.
 package decisionlog
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/trace"
 )
 
-// Scanner buffer sizes: decision records carry a row per class and a
-// back-filled outcome list, so lines stay small; the max guards against
-// pathological rosters without buffering whole files.
-const (
-	scanInitBuf = 64 << 10
-	scanMaxBuf  = 4 << 20
-)
-
-// ScanJSONL streams a decision log: onMeta is invoked once with the
-// first line (which must be a meta line), then onRecord per decision
-// line in file order. Fleet records are skipped — use ScanJSONLWithFleet
-// to receive them. Either callback may be nil to skip. A callback
-// returning an error aborts the scan with that error.
-func ScanJSONL(r io.Reader, onMeta func(Meta) error, onRecord func(Record) error) error {
-	return ScanJSONLWithFleet(r, onMeta, onRecord, nil)
+// ScanJSONL streams a decision log: onMeta is invoked with the meta line
+// (after its version is checked), then onRecord per decision line and
+// onFleet per fleet line, in file order. A nil callback skips its line
+// type. A callback returning an error aborts the scan with that error.
+func ScanJSONL(r io.Reader, onMeta func(Meta) error, onRecord func(Record) error, onFleet func(FleetRecord) error) error {
+	return trace.ScanLines(r, "decisionlog", func(l *trace.Line) error {
+		switch l.Type {
+		case "meta":
+			return decode(l, func(m Meta) error {
+				if m.Version != Version {
+					return fmt.Errorf("decisionlog: version %d log, reader supports %d", m.Version, Version)
+				}
+				if onMeta == nil {
+					return nil
+				}
+				return onMeta(m)
+			})
+		case "decision":
+			return decode(l, onRecord)
+		case "fleet":
+			return decode(l, onFleet)
+		}
+		return l.Errorf("unknown type %q", l.Type)
+	})
 }
 
-// ScanJSONLWithFleet is ScanJSONL plus a fleet-record callback, invoked
-// per "fleet" line in file order (nil skips them).
-func ScanJSONLWithFleet(r io.Reader, onMeta func(Meta) error, onRecord func(Record) error, onFleet func(FleetRecord) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, scanInitBuf), scanMaxBuf)
-	sawMeta := false
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		if !sawMeta {
-			var m Meta
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return fmt.Errorf("decisionlog: line %d: %w", line, err)
-			}
-			if m.Type != "meta" {
-				return fmt.Errorf("decisionlog: line %d: first line has type %q, want meta", line, m.Type)
-			}
-			if m.Version != Version {
-				return fmt.Errorf("decisionlog: version %d log, reader supports %d", m.Version, Version)
-			}
-			sawMeta = true
-			if onMeta != nil {
-				if err := onMeta(m); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return fmt.Errorf("decisionlog: line %d: %w", line, err)
-		}
-		switch probe.Type {
-		case "decision":
-			var rec Record
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return fmt.Errorf("decisionlog: line %d: %w", line, err)
-			}
-			if onRecord != nil {
-				if err := onRecord(rec); err != nil {
-					return err
-				}
-			}
-		case "fleet":
-			if onFleet == nil {
-				continue
-			}
-			var fr FleetRecord
-			if err := json.Unmarshal(raw, &fr); err != nil {
-				return fmt.Errorf("decisionlog: line %d: %w", line, err)
-			}
-			if err := onFleet(fr); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("decisionlog: line %d: unknown type %q", line, probe.Type)
-		}
+// decode unmarshals one line into a T and passes it to fn; a nil fn
+// skips the line undecoded.
+func decode[T any](l *trace.Line, fn func(T) error) error {
+	if fn == nil {
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("decisionlog: scan: %w", err)
+	var v T
+	if err := l.Decode(&v); err != nil {
+		return err
 	}
-	if !sawMeta {
-		return fmt.Errorf("decisionlog: empty log (no meta line)")
-	}
-	return nil
+	return fn(v)
 }

@@ -237,14 +237,17 @@ func boundaryStep(cfg MixedConfig) float64 {
 }
 
 // validateCheckpointing rejects run configurations whose outputs cannot
-// survive a resume: a rotating or compressed trace sink has no stable
-// byte offset to truncate back to.
+// survive a resume: a checkpoint records the trace's and the decision
+// log's byte offsets, and a rotating or compressed sink has no stable
+// offset to truncate back to.
 func validateCheckpointing(cfg MixedConfig) {
 	if cfg.CheckpointDir == "" {
 		panic("experiment: CheckpointEvery set without CheckpointDir")
 	}
-	if s, ok := cfg.Trace.(*trace.Sink); ok && (s.Rotating() || s.Gzipped()) {
-		panic("experiment: checkpointing requires a plain trace sink (no rotation, no gzip)")
+	for _, w := range []io.Writer{cfg.Trace, cfg.Decisions} {
+		if s, ok := w.(*trace.Sink); ok && (s.Rotating() || s.Gzipped()) {
+			panic("experiment: checkpointing requires plain trace and decision-log sinks (no rotation, no gzip)")
+		}
 	}
 }
 

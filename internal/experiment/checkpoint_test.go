@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/patroller"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -463,5 +464,41 @@ func TestCrashRecovery(t *testing.T) {
 					cell.TableMatch, cell.MetricsMatch, cell.TraceMatch, cell.Err)
 			}
 		}
+	}
+}
+
+// A checkpoint records the decision log's byte offset as well as the
+// trace's, and neither a compressed nor a rotating sink can be rewound
+// to one: checkpointing refuses all three up front.
+func TestCheckpointingRefusesUnrewindableSinks(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		path      string
+		rotate    int64
+		decisions bool
+	}{
+		{"trace.jsonl.gz", 0, false},
+		{"trace.jsonl", 1 << 20, false},
+		{"decisions.jsonl.gz", 0, true},
+	} {
+		s, err := trace.OpenSink(filepath.Join(dir, c.path), c.rotate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ckptTestConfig(filepath.Join(dir, "ckpt"), 1)
+		if c.decisions {
+			cfg.Decisions = s
+		} else {
+			cfg.Trace = s
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s (rotate %d): checkpointed run accepted the sink", c.path, c.rotate)
+				}
+			}()
+			RunMixed(cfg)
+		}()
+		s.Close()
 	}
 }

@@ -34,9 +34,7 @@ func failoverFleetConfig() MixedConfig {
 func scanFleetRecords(t *testing.T, dec []byte) []decisionlog.FleetRecord {
 	t.Helper()
 	var out []decisionlog.FleetRecord
-	err := decisionlog.ScanJSONLWithFleet(bytes.NewReader(dec),
-		func(decisionlog.Meta) error { return nil },
-		func(decisionlog.Record) error { return nil },
+	err := decisionlog.ScanJSONL(bytes.NewReader(dec), nil, nil,
 		func(fr decisionlog.FleetRecord) error { out = append(out, fr); return nil })
 	if err != nil {
 		t.Fatal(err)

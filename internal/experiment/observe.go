@@ -170,9 +170,7 @@ func decisionMeta(cfg MixedConfig, rig *Rig) decisionlog.Meta {
 	if m.Experiment == "" {
 		m.Experiment = cfg.Mode.String()
 	}
-	for _, bm := range rig.backendsMeta() {
-		m.Backends = append(m.Backends, decisionlog.BackendMeta(bm))
-	}
+	m.Backends = rig.backendsMeta()
 	return m
 }
 

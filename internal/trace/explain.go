@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/engine"
@@ -22,8 +21,8 @@ import (
 type ExplainQuery struct {
 	Class  engine.ClassID
 	Period int // 1-based, as report tables print it
-	// PeriodEnd is the inclusive last period of a range selector; zero
-	// means the single period named by Period.
+	// PeriodEnd is the inclusive last period; equal to Period for a
+	// single-period query.
 	PeriodEnd int
 }
 
@@ -34,74 +33,27 @@ type ExplainQuery struct {
 // as an inclusive range.
 func ParseExplainQuery(spec string, meta Meta) (ExplainQuery, error) {
 	var q ExplainQuery
-	sawClass, sawPeriod := false, false
-	for _, field := range strings.Fields(spec) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return q, fmt.Errorf("explain: %q is not key=value", field)
-		}
-		switch key {
-		case "class":
-			id, err := resolveClass(val, meta)
-			if err != nil {
-				return q, err
-			}
-			q.Class = id
-			sawClass = true
-		case "period":
-			lo, hi, ranged := strings.Cut(val, "-")
-			p, err := strconv.Atoi(lo)
-			if err != nil {
-				return q, fmt.Errorf("explain: bad period %q", val)
-			}
-			if p < 1 || p > meta.Periods {
-				return q, fmt.Errorf("explain: period %d out of range 1..%d", p, meta.Periods)
-			}
-			q.Period = p
-			if ranged {
-				pe, err := strconv.Atoi(hi)
-				if err != nil {
-					return q, fmt.Errorf("explain: bad period range %q", val)
-				}
-				if pe < p || pe > meta.Periods {
-					return q, fmt.Errorf("explain: period range %q out of order or beyond 1..%d", val, meta.Periods)
-				}
-				q.PeriodEnd = pe
-			}
-			sawPeriod = true
-		default:
-			return q, fmt.Errorf("explain: unknown key %q (want class=, period=)", key)
-		}
+	f, err := ParseSpec(spec, "class", "period")
+	if err != nil {
+		return q, fmt.Errorf("explain: %w", err)
 	}
-	if !sawClass || !sawPeriod {
+	if f["class"] == "" || f["period"] == "" {
 		return q, fmt.Errorf("explain: spec %q must set class= and period=", spec)
 	}
+	i, err := ResolveClass(f["class"], len(meta.Classes), func(i int) (int, string) {
+		return meta.Classes[i].ID, meta.Classes[i].Name
+	})
+	if err != nil {
+		return q, fmt.Errorf("explain: %w", err)
+	}
+	q.Class = engine.ClassID(meta.Classes[i].ID)
+	if q.Period, q.PeriodEnd, err = ParseRange(f["period"]); err != nil {
+		return q, fmt.Errorf("explain: period: %w", err)
+	}
+	if q.PeriodEnd > meta.Periods {
+		return q, fmt.Errorf("explain: period %s out of range 1..%d", f["period"], meta.Periods)
+	}
 	return q, nil
-}
-
-// resolveClass maps a class spec (ID, letter, or name) to a class ID.
-func resolveClass(val string, meta Meta) (engine.ClassID, error) {
-	if n, err := strconv.Atoi(val); err == nil {
-		for _, c := range meta.Classes {
-			if c.ID == n {
-				return engine.ClassID(n), nil
-			}
-		}
-		return 0, fmt.Errorf("explain: no class with ID %d in trace", n)
-	}
-	if len(val) == 1 && val[0] >= 'A' && val[0] <= 'Z' {
-		i := int(val[0] - 'A')
-		if i < len(meta.Classes) {
-			return engine.ClassID(meta.Classes[i].ID), nil
-		}
-		return 0, fmt.Errorf("explain: class %q but trace has only %d classes", val, len(meta.Classes))
-	}
-	for _, c := range meta.Classes {
-		if strings.EqualFold(c.Name, val) {
-			return engine.ClassID(c.ID), nil
-		}
-	}
-	return 0, fmt.Errorf("explain: unknown class %q", val)
 }
 
 // Explanation is the analyzed cell, ready to render.
@@ -114,17 +66,16 @@ type Explanation struct {
 	PeriodEnd int
 	Start     simclock.Time
 	End       simclock.Time
-	// Horizon is the trace's last event time (spans still open accrue
-	// wait/execution against it).
-	Horizon simclock.Time
 
-	// Completed spans of the class whose DoneTime falls in the period —
-	// the same bucketing the metrics.Collector period tables use.
+	// Completed spans of the class whose Done time falls in the window,
+	// ordered by query ID — the same bucketing the metrics.Collector
+	// period tables use.
 	Completed []*Span
-	// Submitted counts class queries arriving during the period.
+	// Submitted counts class queries first submitted during the window.
 	Submitted int
-	// PendingAtEnd counts class queries submitted by period end and not
-	// completed by then (still held or executing).
+	// PendingAtEnd counts class queries first submitted before the window
+	// end that had neither completed nor failed by then (still held,
+	// executing or awaiting a retry).
 	PendingAtEnd int
 
 	WaitMean, WaitMax, WaitTotal float64
@@ -146,57 +97,40 @@ type Explanation struct {
 // QueueBins is the queue-depth timeline resolution.
 const QueueBins = 60
 
-// SpecError marks a malformed or out-of-range -explain spec, so callers
-// can distinguish usage mistakes from trace problems.
-type SpecError struct{ Err error }
-
-func (e *SpecError) Error() string { return e.Err.Error() }
-func (e *SpecError) Unwrap() error { return e.Err }
-
-// ExplainJSONL streams a JSONL export and explains one cell, holding
-// only the target class's events and the trace's plan changes in memory
-// rather than the whole event list. Spec errors are wrapped in
-// *SpecError.
+// ExplainJSONL streams a JSONL export and explains one cell. It keeps the
+// class's in-flight spans, the window's completions, the queue-depth
+// bins and the window's plan changes, never the class's event history.
+// Spec errors are wrapped in *SpecError.
 func ExplainJSONL(r io.Reader, spec string) (*Explanation, error) {
-	var (
-		meta    Meta
-		q       ExplainQuery
-		events  []Event
-		horizon simclock.Time
-	)
+	var x *explainer
 	err := ScanJSONL(r,
 		func(m Meta) error {
-			meta = m
-			var perr error
-			if q, perr = ParseExplainQuery(spec, m); perr != nil {
-				return &SpecError{Err: perr}
+			q, err := ParseExplainQuery(spec, m)
+			if err != nil {
+				return &SpecError{Err: err}
 			}
-			return nil
+			x, err = newExplainer(m, q)
+			return err
 		},
-		func(e Event) error {
-			// The horizon is the last event time of the WHOLE trace, not
-			// of the kept subset — open spans accrue wait against it.
-			if e.Time > horizon {
-				horizon = e.Time
-			}
-			if e.Class == q.Class || e.Kind == PlanChanged {
-				events = append(events, e)
-			}
-			return nil
-		})
+		func(e Event) error { x.add(e); return nil })
 	if err != nil {
 		return nil, err
 	}
-	return explainCell(meta, events, horizon, q)
+	return x.finish(), nil
 }
 
-// explainCell analyzes a cell from the trace header, an event slice,
-// and the trace-wide horizon (max event time over all events). events
-// may be the full trace or any superset of the target class's events
-// plus every PlanChanged event — BuildSpans skips non-lifecycle kinds
-// and the analysis filters spans by class, so both give the same
-// answer.
-func explainCell(meta Meta, events []Event, horizon simclock.Time, q ExplainQuery) (*Explanation, error) {
+// explainer accumulates one cell's explanation from a trace's events.
+type explainer struct {
+	ex    *Explanation
+	spans *Lifecycles
+	// submitted and ended count the class's queries first submitted, and
+	// completed or failed, before the window end.
+	submitted, ended int
+}
+
+// newExplainer validates a query against the trace header and sets up
+// its window. It rejects cells the spec parser would never produce, too.
+func newExplainer(meta Meta, q ExplainQuery) (*explainer, error) {
 	cm := meta.ClassByID(int(q.Class))
 	if cm == nil {
 		return nil, fmt.Errorf("explain: class %d not in trace header", q.Class)
@@ -204,53 +138,94 @@ func explainCell(meta Meta, events []Event, horizon simclock.Time, q ExplainQuer
 	if meta.PeriodSeconds <= 0 {
 		return nil, fmt.Errorf("explain: trace header has no period length")
 	}
-	pe := q.PeriodEnd
-	if pe == 0 {
-		pe = q.Period
-	}
-	if pe < q.Period {
-		return nil, fmt.Errorf("explain: period range %d-%d out of order", q.Period, pe)
+	if q.PeriodEnd < q.Period {
+		return nil, fmt.Errorf("explain: period range %d-%d out of order", q.Period, q.PeriodEnd)
 	}
 	ex := &Explanation{
-		Meta:      meta,
-		Class:     *cm,
-		Period:    q.Period,
-		PeriodEnd: pe,
-		Start:     simclock.Time(q.Period-1) * meta.PeriodSeconds,
-		End:       simclock.Time(pe) * meta.PeriodSeconds,
-		Horizon:   horizon,
+		Meta:       meta,
+		Class:      *cm,
+		Period:     q.Period,
+		PeriodEnd:  q.PeriodEnd,
+		Start:      simclock.Time(q.Period-1) * meta.PeriodSeconds,
+		End:        simclock.Time(q.PeriodEnd) * meta.PeriodSeconds,
+		QueueDepth: make([]float64, QueueBins),
 	}
-	if ex.Horizon < ex.End {
-		ex.Horizon = ex.End
-	}
+	x := &explainer{ex: ex}
+	x.spans = NewLifecycles(x.end)
+	return x, nil
+}
 
-	spans := BuildSpans(events)
-	for _, s := range spans {
-		if s.Class != q.Class {
-			continue
+func (x *explainer) add(e Event) {
+	ex := x.ex
+	if e.Kind == PlanChanged {
+		if e.Time < ex.Start {
+			ex.PlanAtStart = e.Plan
+		} else if e.Time < ex.End {
+			ex.PlanChanges = append(ex.PlanChanges, e)
 		}
-		if s.Submit >= ex.Start && s.Submit < ex.End {
+		return
+	}
+	if e.Class != engine.ClassID(ex.Class.ID) {
+		return
+	}
+	s := x.spans.Add(e)
+	switch {
+	case s == nil:
+	case e.Kind == QuerySubmit && s.Attempts == 1 && s.FirstSubmit < ex.End:
+		x.submitted++
+		if s.FirstSubmit >= ex.Start {
 			ex.Submitted++
 		}
-		if s.Submit < ex.End && (!s.Completed() || s.Done >= ex.End) {
-			ex.PendingAtEnd++
-		}
-		if s.Completed() && s.Done >= ex.Start && s.Done < ex.End {
-			ex.Completed = append(ex.Completed, s)
+	case e.Kind == QueryIntercepted:
+		x.held(e.Time, 1)
+	case e.Kind == QueryReleased && s.Intercept >= 0:
+		x.held(e.Time, -1)
+	}
+}
+
+// held adds delta to every queue-depth sample at or after t. An attempt
+// counts as held from its interception until its release, or to the end
+// of the trace if it is never released, so intercepts add 1 and releases
+// take it back.
+func (x *explainer) held(t simclock.Time, delta float64) {
+	ex := x.ex
+	binLen := (ex.End - ex.Start) / QueueBins
+	for i := range ex.QueueDepth {
+		if ex.Start+simclock.Time(i)*binLen >= t {
+			ex.QueueDepth[i] += delta
 		}
 	}
+}
+
+// end takes one class query that completed or failed.
+func (x *explainer) end(s *Span) {
+	ex := x.ex
+	if s.Done >= ex.End {
+		return
+	}
+	x.ended++
+	if s.Completed() && s.Done >= ex.Start {
+		ex.Completed = append(ex.Completed, s)
+	}
+}
+
+func (x *explainer) finish() *Explanation {
+	x.spans.Close()
+	ex := x.ex
+	ex.PendingAtEnd = x.submitted - x.ended
+	sort.Slice(ex.Completed, func(i, j int) bool { return ex.Completed[i].Query < ex.Completed[j].Query })
 	for _, s := range ex.Completed {
-		w, x := s.AdmissionWait(ex.Horizon), s.ExecTime(ex.Horizon)
+		w, xt := s.AdmissionWait(), s.ExecTime()
 		ex.WaitTotal += w
-		ex.ExecTotal += x
+		ex.ExecTotal += xt
 		if w > ex.WaitMax {
 			ex.WaitMax = w
 		}
-		if x > ex.ExecMax {
-			ex.ExecMax = x
+		if xt > ex.ExecMax {
+			ex.ExecMax = xt
 		}
-		if resp := w + x; resp > 0 {
-			ex.VelocityMean += x / resp
+		if resp := w + xt; resp > 0 {
+			ex.VelocityMean += xt / resp
 		}
 	}
 	if n := float64(len(ex.Completed)); n > 0 {
@@ -258,39 +233,7 @@ func explainCell(meta Meta, events []Event, horizon simclock.Time, q ExplainQuer
 		ex.ExecMean = ex.ExecTotal / n
 		ex.VelocityMean /= n
 	}
-
-	// Queue depth: a query is "held" from interception to release (or the
-	// horizon, if never released).
-	ex.QueueDepth = make([]float64, QueueBins)
-	binLen := (ex.End - ex.Start) / QueueBins
-	for _, s := range spans {
-		if s.Class != q.Class || !s.Managed() {
-			continue
-		}
-		held0 := s.Intercept
-		held1 := ex.Horizon
-		if s.Release >= 0 {
-			held1 = s.Release
-		}
-		for i := 0; i < QueueBins; i++ {
-			at := ex.Start + simclock.Time(i)*binLen
-			if at >= held0 && at < held1 {
-				ex.QueueDepth[i]++
-			}
-		}
-	}
-
-	for _, e := range events {
-		if e.Kind != PlanChanged {
-			continue
-		}
-		if e.Time < ex.Start {
-			ex.PlanAtStart = e.Plan
-		} else if e.Time < ex.End {
-			ex.PlanChanges = append(ex.PlanChanges, e)
-		}
-	}
-	return ex, nil
+	return ex
 }
 
 // ganttRows caps the lifetime Gantt at the longest-response completions.
@@ -360,8 +303,8 @@ func (ex *Explanation) Render(w io.Writer) {
 func (ex *Explanation) renderGantt(w io.Writer) {
 	spans := append([]*Span(nil), ex.Completed...)
 	sort.Slice(spans, func(i, j int) bool {
-		ri := spans[i].AdmissionWait(ex.Horizon) + spans[i].ExecTime(ex.Horizon)
-		rj := spans[j].AdmissionWait(ex.Horizon) + spans[j].ExecTime(ex.Horizon)
+		ri := spans[i].AdmissionWait() + spans[i].ExecTime()
+		rj := spans[j].AdmissionWait() + spans[j].ExecTime()
 		if ri > rj {
 			return true
 		}
@@ -408,7 +351,7 @@ func (ex *Explanation) renderGantt(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  q%-7d cost %7.0f %c|%s|  wait %8.1fs  exec %8.1fs\n",
 			s.Query, s.Cost, clip, row,
-			s.AdmissionWait(ex.Horizon), s.ExecTime(ex.Horizon))
+			s.AdmissionWait(), s.ExecTime())
 	}
 }
 
@@ -440,7 +383,7 @@ func SummarizeJSONL(w io.Writer, r io.Reader) error {
 		fmt.Fprintf(w, "  class %d %q (%s): %s  [letter %c]\n", c.ID, c.Name, c.Kind, c.Goal, 'A'+i)
 	}
 	fmt.Fprintf(w, "Events: %d\n", total)
-	for k := QuerySubmit; k <= WorkloadShift; k++ {
+	for k := QuerySubmit; k <= lastKind; k++ {
 		if counts[k] > 0 {
 			fmt.Fprintf(w, "  %-10s %d\n", k.String(), counts[k])
 		}

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/simclock"
 )
 
 // explainMeta is a two-class header for spec-parsing and explain tests.
@@ -112,17 +112,6 @@ func explainSpec(t *testing.T, meta Meta, events []Event, spec string) *Explanat
 	return ex
 }
 
-// horizonOf is the trace-wide horizon: the last event time.
-func horizonOf(events []Event) simclock.Time {
-	var h simclock.Time
-	for _, e := range events {
-		if e.Time > h {
-			h = e.Time
-		}
-	}
-	return h
-}
-
 func TestExplainBreakdown(t *testing.T) {
 	meta, events := explainMeta(), explainEvents()
 
@@ -202,7 +191,7 @@ func TestExplainRender(t *testing.T) {
 // The analysis rejects cells the spec parser would never produce, too.
 func TestExplainErrors(t *testing.T) {
 	meta := explainMeta()
-	if _, err := explainCell(meta, nil, 0, ExplainQuery{Class: 99, Period: 1}); err == nil {
+	if _, err := newExplainer(meta, ExplainQuery{Class: 99, Period: 1, PeriodEnd: 1}); err == nil {
 		t.Error("unknown class: want error")
 	}
 	meta.PeriodSeconds = 0
@@ -225,6 +214,21 @@ func TestSummarize(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
+
+	// The per-kind list covers every kind, fleet and fault ones included.
+	var every []Event
+	for k := QuerySubmit; k <= lastKind; k++ {
+		every = append(every, Event{Time: 1, Kind: k, Class: 1, Query: 1})
+	}
+	sb.Reset()
+	if err := SummarizeJSONL(&sb, bytes.NewReader(encodeJSONL(t, explainMeta(), every))); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range every {
+		if line := fmt.Sprintf("  %-10s 1\n", e.Kind); !strings.Contains(sb.String(), line) {
+			t.Errorf("summary lacks the %q line:\n%s", e.Kind, sb.String())
+		}
+	}
 }
 
 // encodeJSONL renders a (meta, events) pair exactly as a StreamJSONL
@@ -240,38 +244,6 @@ func encodeJSONL(t *testing.T, meta Meta, events []Event) []byte {
 		buf = appendEventLine(buf, &events[i])
 	}
 	return buf
-}
-
-// TestExplainJSONLMatchesInMemory pins the streaming explain path, which
-// keeps only the target class's events and the plan changes, to the
-// analysis of the full in-memory event list: same cell, same bytes out.
-func TestExplainJSONLMatchesInMemory(t *testing.T) {
-	meta, events := explainMeta(), explainEvents()
-	for _, spec := range []string{"class=2 period=1", "class=B period=2", "class=1 period=3"} {
-		assertStreamMatchesFull(t, meta, events, spec)
-	}
-}
-
-// assertStreamMatchesFull compares ExplainJSONL's rendering of one spec
-// with explainCell run over every event.
-func assertStreamMatchesFull(t *testing.T, meta Meta, events []Event, spec string) {
-	t.Helper()
-	q, err := ParseExplainQuery(spec, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := explainCell(meta, events, horizonOf(events), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := explainSpec(t, meta, events, spec)
-	var a, b strings.Builder
-	full.Render(&a)
-	stream.Render(&b)
-	if a.String() != b.String() {
-		t.Errorf("%s: streamed explain diverges from the full-list analysis:\n--- full\n%s\n--- streamed\n%s",
-			spec, a.String(), b.String())
-	}
 }
 
 func TestParseExplainQueryRange(t *testing.T) {
@@ -344,7 +316,7 @@ func TestExplainPeriodRange(t *testing.T) {
 
 	// A reversed range handed directly to the analysis (bypassing the
 	// parser) must still be rejected.
-	if _, err := explainCell(explainMeta(), explainEvents(), 250, ExplainQuery{Class: 2, Period: 3, PeriodEnd: 1}); err == nil {
+	if _, err := newExplainer(explainMeta(), ExplainQuery{Class: 2, Period: 3, PeriodEnd: 1}); err == nil {
 		t.Error("reversed range: want error")
 	}
 }
@@ -417,40 +389,16 @@ func TestExplainOLTPClass(t *testing.T) {
 	}
 }
 
-// TestExplainJSONLRangeMatchesInMemory extends the streaming-equivalence
-// pin to range selectors and the OLTP class.
-func TestExplainJSONLRangeMatchesInMemory(t *testing.T) {
-	fixtures := []struct {
-		meta   Meta
-		events []Event
-		specs  []string
-	}{
-		{explainMeta(), explainEvents(), []string{"class=B period=1-2", "class=2 period=1-3", "class=1 period=2-3"}},
-		{oltpMeta(), oltpEvents(), []string{"class=C period=1-2", "class=orders period=1-3"}},
-	}
-	for _, fx := range fixtures {
-		for _, spec := range fx.specs {
-			assertStreamMatchesFull(t, fx.meta, fx.events, spec)
-		}
-	}
-	// A bad range spec through the streaming path is a *SpecError.
-	raw := encodeJSONL(t, explainMeta(), explainEvents())
-	_, err := ExplainJSONL(bytes.NewReader(raw), "class=1 period=3-1")
-	var spec *SpecError
-	if !errors.As(err, &spec) {
-		t.Fatalf("reversed range: got %v, want *SpecError", err)
-	}
-}
-
 func TestExplainJSONLSpecError(t *testing.T) {
 	raw := encodeJSONL(t, explainMeta(), explainEvents())
-	_, err := ExplainJSONL(bytes.NewReader(raw), "class=9 period=1")
 	var spec *SpecError
-	if !errors.As(err, &spec) {
-		t.Fatalf("bad spec: got %v, want *SpecError", err)
+	for _, bad := range []string{"class=9 period=1", "class=1 period=3-1"} {
+		if _, err := ExplainJSONL(bytes.NewReader(raw), bad); !errors.As(err, &spec) {
+			t.Fatalf("%q: got %v, want *SpecError", bad, err)
+		}
 	}
 	// A corrupt trace is NOT a spec error (qtrace exits 1, not 2).
-	_, err = ExplainJSONL(strings.NewReader("{\"type\":\"bogus\"}\n"), "class=2 period=1")
+	_, err := ExplainJSONL(strings.NewReader("{\"type\":\"bogus\"}\n"), "class=2 period=1")
 	if err == nil || errors.As(err, &spec) {
 		t.Fatalf("corrupt trace: got %v, want non-spec error", err)
 	}

@@ -100,15 +100,22 @@ func (s *Stream) RestoreCheckpoint(offset int64) { s.bytes = offset }
 // Rewind reopens the plain (unrotated, uncompressed) file at path,
 // truncates it to offset — the bytes a checkpoint's stream had written —
 // and returns a sink appending from there. A file shorter than offset
-// lost bytes the checkpoint counts; Rewind then fails, naming the path,
-// the offset and the file size, and leaves the file unmodified.
+// lost bytes the checkpoint counts, and a gzip file's offsets count
+// uncompressed bytes; Rewind fails on either, naming the path and the
+// offset, and leaves the file unmodified.
 func Rewind(path string, offset int64) (*Sink, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("trace: rewind: %w", err)
 	}
+	var magic [2]byte
+	n, _ := f.ReadAt(magic[:], 0) // a shorter file is not gzip; its size is checked next
 	info, err := f.Stat()
-	if err == nil && info.Size() < offset {
+	switch {
+	case err != nil:
+	case isGzip(magic[:n]):
+		err = fmt.Errorf("the file is gzip-compressed")
+	case info.Size() < offset:
 		err = fmt.Errorf("the file holds only %d bytes", info.Size())
 	}
 	if err == nil {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -144,7 +145,8 @@ func TestEmitThroughStreamDoesNotAllocate(t *testing.T) {
 }
 
 // Rewind cuts a file back to a checkpointed offset and appends from
-// there; a file shorter than the offset is refused and left as it is.
+// there; a file shorter than the offset, or a gzip file, is refused and
+// left as it is.
 func TestRewind(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	if err := os.WriteFile(path, []byte("{\"a\":1}\n{\"b\":2}\n"), 0o644); err != nil {
@@ -180,6 +182,25 @@ func TestRewind(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); string(got) != "{\"a\":1}\n{\"c\":3}\n" {
 		t.Fatalf("refused rewind modified the file: %q", got)
+	}
+
+	// A gzip export's offsets count uncompressed bytes: cutting the file
+	// there would leave a torn gzip prefix followed by plain lines.
+	gz := filepath.Join(t.TempDir(), "run.jsonl.gz")
+	sk, err := OpenSink(gz, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk.Write([]byte("{\"a\":1}\n{\"b\":2}\n"))
+	if err := sk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(gz)
+	if _, err := Rewind(gz, 8); err == nil || !strings.Contains(err.Error(), "gzip") {
+		t.Fatalf("rewind of a gzip file = %v, want a gzip error", err)
+	}
+	if after, _ := os.ReadFile(gz); !bytes.Equal(after, before) {
+		t.Fatal("refused rewind modified the gzip file")
 	}
 }
 

@@ -8,13 +8,9 @@
 package trace
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"unicode/utf8"
 
@@ -224,12 +220,12 @@ func appendJSONString(buf []byte, s string) []byte {
 
 // kindFromString inverts Kind.String for trace file parsing.
 func kindFromString(s string) (Kind, error) {
-	for k := QuerySubmit; k <= QueryRerouted; k++ {
+	for k := QuerySubmit; k <= lastKind; k++ {
 		if k.String() == s {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("trace: unknown event kind %q", s)
+	return 0, fmt.Errorf("unknown event kind %q", s)
 }
 
 // ClassByID returns the class metadata for id, or nil.
@@ -242,71 +238,31 @@ func (m Meta) ClassByID(id int) *ClassMeta {
 	return nil
 }
 
-// ScanJSONL streams a trace exported by StreamJSONL without retaining
-// it: the meta line (which must come first) is passed to onMeta, then
-// every event is passed to onEvent in file order. Gzip-compressed
-// exports (written through a .jsonl.gz sink) are detected by their magic
-// bytes and decompressed transparently. Unknown line types are rejected
-// (the format is versioned, not open-ended), and corrupt or truncated
-// input yields an error, never a panic. Memory stays constant no matter
-// how large the trace is. A callback error aborts the scan and is
-// returned verbatim.
+// ScanJSONL streams a trace exported by StreamJSONL, plain or gzipped,
+// without retaining it: the meta line goes to onMeta, then every event to
+// onEvent in file order; a nil callback skips its line type. ScanLines
+// enforces the line rules; unknown line types and event kinds are
+// rejected, since the format is versioned, not open-ended. A callback
+// error aborts the scan and is returned as it is.
 func ScanJSONL(r io.Reader, onMeta func(Meta) error, onEvent func(Event) error) error {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return fmt.Errorf("trace: gzip: %w", err)
-		}
-		defer zr.Close()
-		return scanJSONL(zr, onMeta, onEvent)
-	}
-	return scanJSONL(br, onMeta, onEvent)
-}
-
-func scanJSONL(r io.Reader, onMeta func(Meta) error, onEvent func(Event) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	sawMeta := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var disc struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &disc); err != nil {
-			return fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		switch disc.Type {
+	return ScanLines(r, "trace", func(l *Line) error {
+		switch l.Type {
 		case "meta":
-			if sawMeta {
-				return fmt.Errorf("trace: line %d: duplicate meta", lineNo)
-			}
 			var jm jsonMeta
-			if err := json.Unmarshal(line, &jm); err != nil {
-				return fmt.Errorf("trace: line %d: %w", lineNo, err)
-			}
-			sawMeta = true
-			if err := onMeta(jm.Meta); err != nil {
+			if err := l.Decode(&jm); err != nil || onMeta == nil {
 				return err
 			}
+			return onMeta(jm.Meta)
 		case "event":
-			if !sawMeta {
-				return fmt.Errorf("trace: line %d: event before meta", lineNo)
-			}
 			var je jsonEvent
-			if err := json.Unmarshal(line, &je); err != nil {
-				return fmt.Errorf("trace: line %d: %w", lineNo, err)
+			if err := l.Decode(&je); err != nil || onEvent == nil {
+				return err
 			}
 			kind, err := kindFromString(je.Kind)
 			if err != nil {
-				return fmt.Errorf("trace: line %d: %w", lineNo, err)
+				return l.Errorf("%w", err)
 			}
-			err = onEvent(Event{
+			return onEvent(Event{
 				Seq:    je.Seq,
 				Time:   simclock.Time(je.T),
 				Kind:   kind,
@@ -318,123 +274,138 @@ func scanJSONL(r io.Reader, onMeta func(Meta) error, onEvent func(Event) error) 
 				Value:  je.Value,
 				Detail: je.Detail,
 			})
-			if err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("trace: line %d: unknown type %q", lineNo, disc.Type)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("trace: read: %w", err)
-	}
-	if !sawMeta {
-		return fmt.Errorf("trace: no meta line (not a trace export?)")
-	}
-	return nil
+		return l.Errorf("unknown type %q", l.Type)
+	})
 }
 
 // noTime marks a lifecycle edge a span never reached.
 const noTime = simclock.Time(-1)
 
-// Span is one query's reconstructed lifecycle: the times of each edge it
-// passed, with the class/cost identity and the plan version in force at
-// the edges. Edges the query never reached are -1 (check with the
-// predicates below).
+// Span is one logical query's lifecycle: its first submit, and the edges
+// its current attempt passed. A retried query keeps its span; the
+// resubmission (a new query ID) becomes the current attempt. Edges the
+// attempt never reached are -1.
 type Span struct {
-	Query    engine.QueryID
-	Class    engine.ClassID
-	Client   engine.ClientID
-	Cost     float64
-	Template string
+	Query  engine.QueryID // the current attempt's ID
+	Class  engine.ClassID
+	Client engine.ClientID
+	Cost   float64 // the current attempt's cost
+	// Attempts counts the query's submissions: 1, plus one per retry.
+	Attempts int
 
-	Submit    simclock.Time
-	Intercept simclock.Time
-	Release   simclock.Time
-	Start     simclock.Time
-	Done      simclock.Time
-
-	SubmitPeriod int
-	DonePeriod   int
-	SubmitPlan   int
-	DonePlan     int
+	FirstSubmit simclock.Time
+	Submit      simclock.Time
+	Intercept   simclock.Time
+	Start       simclock.Time
+	// Done is the completion time, or the abort time of a failed query.
+	Done simclock.Time
+	// Failed marks a query ended by an abort with no retry after it.
+	Failed bool
 }
 
-// Managed reports whether the patroller intercepted the query.
-func (s *Span) Managed() bool { return s.Intercept >= 0 }
-
-// Started reports whether the query began executing.
+// Started reports whether the current attempt began executing.
 func (s *Span) Started() bool { return s.Start >= 0 }
 
 // Completed reports whether the query finished inside the trace.
-func (s *Span) Completed() bool { return s.Done >= 0 }
+func (s *Span) Completed() bool { return s.Done >= 0 && !s.Failed }
 
-// AdmissionWait is the time from submit until execution start — the
-// dispatcher's hold time (0 for unintercepted queries, which start
-// immediately). For a query still held at end-of-trace pass the trace
-// horizon as now; for completed spans now is ignored.
-func (s *Span) AdmissionWait(now simclock.Time) float64 {
-	switch {
-	case s.Started():
+// AdmissionWait is an ended query's time from its current attempt's
+// submit until execution start — the dispatcher's hold time (0 for
+// unintercepted queries, which start immediately), or until it ended if
+// it never started.
+func (s *Span) AdmissionWait() float64 {
+	if s.Started() {
 		return float64(s.Start - s.Submit)
-	default:
-		return float64(now - s.Submit)
 	}
+	return float64(s.Done - s.Submit)
 }
 
-// ExecTime is the execution duration, or the elapsed running time against
-// now for spans still executing at end-of-trace.
-func (s *Span) ExecTime(now simclock.Time) float64 {
+// ExecTime is an ended query's execution time (0 if it never started).
+func (s *Span) ExecTime() float64 {
 	if !s.Started() {
 		return 0
 	}
-	if s.Completed() {
-		return float64(s.Done - s.Start)
-	}
-	return float64(now - s.Start)
+	return float64(s.Done - s.Start)
 }
 
-// BuildSpans folds lifecycle events into one span per query, ordered by
-// query ID. Non-query events (plan changes, workload shifts) are skipped.
-func BuildSpans(events []Event) []*Span {
-	byID := make(map[engine.QueryID]*Span)
-	var order []engine.QueryID
-	get := func(e Event) *Span {
-		s, ok := byID[e.Query]
-		if !ok {
-			s = &Span{Query: e.Query, Class: e.Class, Client: e.Client,
-				Cost: e.Value, Submit: noTime, Intercept: noTime,
-				Release: noTime, Start: noTime, Done: noTime}
-			byID[e.Query] = s
-			order = append(order, e.Query)
+// Lifecycles folds a trace's events, in file order, into one Span per
+// logical query, keyed by query ID, holding only the queries in flight.
+// A retry event marks the aborted attempt for resubmission: the client's
+// next submit continues the same span (a client waits for its query to
+// resolve before it submits again). An abort with no retry after it ends
+// the query as failed. Non-query events are ignored.
+type Lifecycles struct {
+	open    map[engine.QueryID]*Span
+	retried map[engine.ClientID]*Span // awaiting the client's resubmission
+	aborted *Span                     // ended unless the next event retries it
+	end     func(*Span)
+}
+
+// NewLifecycles returns an empty fold; end is called once per query, when
+// it completes or fails.
+func NewLifecycles(end func(*Span)) *Lifecycles {
+	return &Lifecycles{
+		open:    make(map[engine.QueryID]*Span),
+		retried: make(map[engine.ClientID]*Span),
+		end:     end,
+	}
+}
+
+// Add folds one event and returns the span it touched, or nil.
+func (l *Lifecycles) Add(e Event) *Span {
+	if a := l.aborted; a != nil {
+		l.aborted = nil
+		if e.Kind == QueryRetried && e.Query == a.Query {
+			a.Failed = false
+			l.retried[a.Client] = a
+			return a
 		}
+		l.end(a)
+	}
+	if e.Kind == QuerySubmit {
+		s := l.retried[e.Client]
+		if s != nil {
+			delete(l.retried, e.Client)
+		} else {
+			s = &Span{Class: e.Class, Client: e.Client, FirstSubmit: e.Time}
+		}
+		s.Attempts++
+		s.Query, s.Cost, s.Submit = e.Query, e.Value, e.Time
+		s.Intercept, s.Start, s.Done = noTime, noTime, noTime
+		l.open[e.Query] = s
 		return s
 	}
-	for _, e := range events {
-		switch e.Kind {
-		case QuerySubmit:
-			s := get(e)
-			s.Submit = e.Time
-			s.Template = e.Detail
-			s.SubmitPeriod = e.Period
-			s.SubmitPlan = e.Plan
-		case QueryIntercepted:
-			get(e).Intercept = e.Time
-		case QueryReleased:
-			get(e).Release = e.Time
-		case QueryStart:
-			get(e).Start = e.Time
-		case QueryDone:
-			s := get(e)
-			s.Done = e.Time
-			s.DonePeriod = e.Period
-			s.DonePlan = e.Plan
+	s := l.open[e.Query]
+	if s == nil {
+		return nil
+	}
+	switch e.Kind {
+	case QueryIntercepted:
+		s.Intercept = e.Time
+	case QueryReleased:
+		// No edge is kept; the span is still returned to the caller.
+	case QueryStart:
+		s.Start = e.Time
+	case QueryDone, QueryAborted:
+		s.Done = e.Time
+		delete(l.open, e.Query)
+		if e.Kind == QueryDone {
+			l.end(s)
+		} else {
+			s.Failed = true
+			l.aborted = s
 		}
+	default:
+		return nil
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([]*Span, 0, len(order))
-	for _, id := range order {
-		out = append(out, byID[id])
+	return s
+}
+
+// Close ends a trailing abort; call it once after the last event.
+func (l *Lifecycles) Close() {
+	if a := l.aborted; a != nil {
+		l.aborted = nil
+		l.end(a)
 	}
-	return out
 }

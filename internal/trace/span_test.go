@@ -113,44 +113,59 @@ func TestScanJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBuildSpans(t *testing.T) {
-	events := []Event{
-		{Kind: QuerySubmit, Query: 2, Class: 1, Client: 4, Time: 0, Value: 50, Detail: "Q2", Period: 0, Plan: 0},
-		{Kind: QuerySubmit, Query: 1, Class: 2, Client: 3, Time: 1, Value: 9, Detail: "Q1"},
-		{Kind: QueryIntercepted, Query: 2, Class: 1, Time: 0, Value: 50},
-		{Kind: QueryStart, Query: 1, Class: 2, Time: 1},
+func TestLifecycles(t *testing.T) {
+	var ended []*Span
+	l := NewLifecycles(func(s *Span) { ended = append(ended, s) })
+	var open *Span
+	for _, e := range []Event{
+		{Kind: QuerySubmit, Query: 2, Class: 1, Client: 4, Time: 0, Value: 50},
+		{Kind: QuerySubmit, Query: 1, Class: 2, Client: 3, Time: 1, Value: 9},
+		{Kind: QueryIntercepted, Query: 2, Class: 1, Client: 4, Time: 0},
+		{Kind: QueryStart, Query: 1, Class: 2, Client: 3, Time: 1},
 		{Kind: PlanChanged, Time: 5, Value: 2},
-		{Kind: QueryReleased, Query: 2, Class: 1, Time: 10, Value: 50},
-		{Kind: QueryStart, Query: 2, Class: 1, Time: 10},
-		{Kind: QueryDone, Query: 2, Class: 1, Time: 30, Period: 1, Plan: 1},
+		{Kind: QueryReleased, Query: 2, Class: 1, Client: 4, Time: 10},
+		{Kind: QueryStart, Query: 2, Class: 1, Client: 4, Time: 10},
+		// q2 aborts and is retried: the client's next submit (q3, with a
+		// refreshed cost) continues the same logical query.
+		{Kind: QueryAborted, Query: 2, Class: 1, Client: 4, Time: 20},
+		{Kind: QueryRetried, Query: 2, Class: 1, Client: 4, Time: 20},
+		{Kind: QuerySubmit, Query: 3, Class: 1, Client: 4, Time: 25, Value: 60},
+		{Kind: QueryStart, Query: 3, Class: 1, Client: 4, Time: 26},
+		{Kind: QueryDone, Query: 3, Class: 1, Client: 4, Time: 30},
+		// q4 aborts with no retry after it: it ends as failed.
+		{Kind: QuerySubmit, Query: 4, Class: 1, Client: 5, Time: 31},
+		{Kind: QueryStart, Query: 4, Class: 1, Client: 5, Time: 31},
+		{Kind: QueryAborted, Query: 4, Class: 1, Client: 5, Time: 32},
+		{Kind: QueryDone, Query: 99, Time: 33}, // no submit seen: ignored
+		// q5 aborts as the trace's last event; Close ends it.
+		{Kind: QuerySubmit, Query: 5, Class: 1, Client: 6, Time: 40},
+		{Kind: QueryStart, Query: 5, Class: 1, Client: 6, Time: 40},
+		{Kind: QueryAborted, Query: 5, Class: 1, Client: 6, Time: 41},
+	} {
+		if s := l.Add(e); e.Query == 1 {
+			open = s
+		}
 	}
-	spans := BuildSpans(events)
-	if len(spans) != 2 {
-		t.Fatalf("%d spans, want 2", len(spans))
+	l.Close()
+	if len(ended) != 3 {
+		t.Fatalf("%d spans ended, want 3 (q3 done, q4 and q5 failed)", len(ended))
 	}
-	if spans[0].Query != 1 || spans[1].Query != 2 {
-		t.Fatalf("spans not ID-ordered: %d, %d", spans[0].Query, spans[1].Query)
+	done := ended[0]
+	if done.Query != 3 || done.Attempts != 2 || done.Cost != 60 || !done.Completed() {
+		t.Fatalf("retried span = %+v", done)
 	}
-	managed := spans[1]
-	if !managed.Managed() || !managed.Started() || !managed.Completed() {
-		t.Fatalf("span predicates wrong: %+v", managed)
+	if done.FirstSubmit != 0 || done.Submit != 25 || done.Intercept >= 0 {
+		t.Fatalf("retried span edges = %+v, want first submit 0 and the resubmission's edges", done)
 	}
-	if managed.AdmissionWait(0) != 10 || managed.ExecTime(0) != 20 {
-		t.Fatalf("wait=%v exec=%v, want 10, 20", managed.AdmissionWait(0), managed.ExecTime(0))
+	if done.AdmissionWait() != 1 || done.ExecTime() != 4 {
+		t.Fatalf("wait=%v exec=%v, want 1, 4", done.AdmissionWait(), done.ExecTime())
 	}
-	if managed.DonePeriod != 1 || managed.DonePlan != 1 || managed.Template != "Q2" {
-		t.Fatalf("span = %+v", managed)
+	for _, f := range ended[1:] {
+		if !f.Failed || f.Completed() || f.Done != f.Start+1 {
+			t.Fatalf("aborted span = %+v, want failed at its abort time", f)
+		}
 	}
-	open := spans[0]
-	if open.Managed() || open.Completed() || !open.Started() {
-		t.Fatalf("unmanaged span predicates wrong: %+v", open)
-	}
-	if open.AdmissionWait(100) != 0 || open.ExecTime(100) != 99 {
-		t.Fatalf("open wait=%v exec=%v", open.AdmissionWait(100), open.ExecTime(100))
-	}
-	// A query submitted but never started accrues wait against the horizon.
-	held := BuildSpans([]Event{{Kind: QuerySubmit, Query: 9, Time: 40}})[0]
-	if held.Started() || held.AdmissionWait(100) != 60 || held.ExecTime(100) != 0 {
-		t.Fatalf("held span = %+v", held)
+	if open == nil || open.Completed() || !open.Started() || open.Done >= 0 {
+		t.Fatalf("open span = %+v", open)
 	}
 }

@@ -43,6 +43,9 @@ const (
 	// crashed backend landing on a survivor. Value carries the new
 	// backend (1-based); Detail names both ends ("backend=F->T").
 	QueryRerouted
+
+	// lastKind bounds every loop over the kinds.
+	lastKind = QueryRerouted
 )
 
 func (k Kind) String() string {
@@ -106,7 +109,7 @@ func (e Event) String() string {
 
 // numKinds sizes the dense per-kind counter array (kinds are small
 // consecutive constants; anything else spills to farCounts).
-const numKinds = int(QueryRerouted) + 1
+const numKinds = int(lastKind) + 1
 
 // traceBatchSize bounds the batched-dispatch buffer: Emit appends events
 // here and the JSONL encoding happens in batches — when the buffer
