@@ -536,15 +536,16 @@ func BenchmarkPatrollerChurn(b *testing.B) {
 // BenchmarkRouterRoute measures the routing tier's per-query decision:
 // score three heterogeneous backends with the default policy, pick the
 // argmax, and submit to the chosen engine, with engine churn underneath
-// so the queue/load signals stay live. allocs/op is the headline — one
-// alloc per op is the unpooled fleet query itself; the scoring and
-// argmax must add none.
+// so the queue/load signals stay live. allocs/op is the headline: the
+// fleet query comes from the backends' shared pool, and the scoring and
+// argmax add nothing, so it rounds to zero once the pool is warm.
 func BenchmarkRouterRoute(b *testing.B) {
 	clock := simclock.New()
 	specs := experiment.RoutingBackends()
 	roster := make([]backend.Backend, len(specs))
+	pool := new(engine.QueryPool)
 	for i, spec := range specs {
-		roster[i] = backend.New(i+1, spec, clock)
+		roster[i] = backend.New(i+1, spec, clock, pool)
 	}
 	rt := router.New(roster, router.DefaultScorers())
 	b.ReportAllocs()

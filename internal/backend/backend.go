@@ -103,9 +103,10 @@ type Instance struct {
 	Collector *metrics.Collector
 }
 
-// New builds a backend's engine on the shared clock. Control
-// (patroller + scheduler) and metrics are attached by the rig.
-func New(id int, spec Spec, clock *simclock.Clock) *Instance {
+// New builds a backend's engine on the shared clock, drawing its queries
+// from the rig's shared pool. Control (patroller + scheduler) and
+// metrics are attached by the rig.
+func New(id int, spec Spec, clock *simclock.Clock, pool *engine.QueryPool) *Instance {
 	if id <= 0 {
 		panic(fmt.Sprintf("backend: non-positive backend ID %d", id))
 	}
@@ -114,7 +115,7 @@ func New(id int, spec Spec, clock *simclock.Clock) *Instance {
 			panic(fmt.Sprintf("backend: %s: non-positive affinity %v for class %d", spec.Name, w, class))
 		}
 	}
-	return &Instance{id: id, spec: spec, Eng: engine.New(spec.EngineConfig(), clock)}
+	return &Instance{id: id, spec: spec, Eng: engine.NewWithPool(spec.EngineConfig(), clock, pool)}
 }
 
 // ID returns the backend's 1-based fleet index.

@@ -1,6 +1,10 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/simclock"
+)
 
 func TestAbortMidExecutionIsTerminal(t *testing.T) {
 	e, clock := newTestEngine(1, 1)
@@ -119,5 +123,50 @@ func TestRetryAttemptCarriesThrough(t *testing.T) {
 	// The retry restarts from scratch at the abort instant.
 	if !almost(retried.DoneTime, 14) {
 		t.Fatalf("retry done = %v, want 14", retried.DoneTime)
+	}
+}
+
+// TestAbortRefusesQueryOwnedByAnotherEngine is the shared-pool ABA case:
+// engines number their own queries, so a pooled object recycled by
+// engine 1 can come back on engine 2 under the ID it had on engine 1. A
+// stale abort aimed at the old attempt guards only on ID and attempt,
+// so it reaches engine 1 with a query executing on engine 2; engine 1
+// must refuse it and leave both active sets alone.
+func TestAbortRefusesQueryOwnedByAnotherEngine(t *testing.T) {
+	clock := simclock.New()
+	pool := new(QueryPool)
+	cfg := Config{CPUCapacity: 1, IOCapacity: 1}
+	e1, e2 := NewWithPool(cfg, clock, pool), NewWithPool(cfg, clock, pool)
+	submit := func(e *Engine, work float64) *Query {
+		q := e.AcquireQuery()
+		q.Class = 1
+		q.Demand = Demand{Work: work, CPURate: 1}
+		e.Submit(q)
+		return q
+	}
+	a := submit(e1, 1)
+	b := submit(e1, 100)
+	clock.RunUntil(5) // a completes on engine 1 and is recycled
+	if e1.Active() != 1 || e1.ActiveQueries()[0] != b {
+		t.Fatalf("engine 1 active set %v, want just the long query", e1.ActiveQueries())
+	}
+	reused := submit(e2, 100)
+	if reused != a || reused.ID != 1 {
+		t.Fatalf("engine 2 got object %p with ID %d, want the recycled %p with ID 1", reused, reused.ID, a)
+	}
+	if e1.Abort(reused) {
+		t.Fatal("engine 1 aborted a query executing on engine 2")
+	}
+	if e1.Active() != 1 || e1.ActiveQueries()[0] != b || b.State != StateExecuting {
+		t.Fatalf("engine 1 active set %v, want the long query untouched", e1.ActiveQueries())
+	}
+	if e2.Active() != 1 || e2.ActiveQueries()[0] != reused || reused.State != StateExecuting {
+		t.Fatalf("engine 2 active set %v, want the reused query still executing", e2.ActiveQueries())
+	}
+	if e1.Stats().Aborted != 0 {
+		t.Fatalf("engine 1 counted %d aborts", e1.Stats().Aborted)
+	}
+	if !e2.Abort(reused) {
+		t.Fatal("engine 2 refused to abort its own query")
 	}
 }

@@ -123,7 +123,7 @@ type Query struct {
 	remaining float64 // work not yet performed
 	rate      float64 // current progress rate
 	index     int     // position in the active slice, -1 when inactive
-	pooled    bool    // owned by an engine freelist (see AcquireQuery)
+	pooled    bool    // owned by a QueryPool (see AcquireQuery)
 }
 
 // ResponseTime returns end-to-end latency (queueing + execution). Valid
@@ -232,10 +232,13 @@ type Engine struct {
 	// sharing across service classes (see SetClassWeights).
 	weights map[ClassID]float64
 
+	// pool is the freelist AcquireQuery draws from and Recycle refills,
+	// shared by every engine of a rig. Its warm-up state is never part
+	// of a snapshot: restored queries are rebuilt unpooled.
+	pool *QueryPool
+
 	// Hot-path scratch: reused across events so steady-state simulation
 	// performs no per-event allocation.
-	//lint:ignore ckptcover recycled Query objects; freelist warm-up state is never part of a snapshot
-	freelist []*Query // recycled pooled queries (AcquireQuery/Recycle)
 	//lint:ignore ckptcover per-tick scratch; dead between advanceTo calls
 	doneScratch []*Query // completions harvested by advanceTo
 	//lint:ignore ckptcover per-reschedule scratch; dead between recomputeRates calls
@@ -252,37 +255,26 @@ type Engine struct {
 	deferResched bool
 }
 
-// New returns an engine on the given clock. Config values must be positive
-// (ContentionAlpha may be zero).
-func New(cfg Config, clock *simclock.Clock) *Engine {
-	if clock == nil {
-		panic("engine: nil clock")
-	}
-	if cfg.CPUCapacity <= 0 || cfg.IOCapacity <= 0 || cfg.ContentionAlpha < 0 {
-		panic(fmt.Sprintf("engine: invalid config %+v", cfg))
-	}
-	e := &Engine{
-		cfg:   cfg,
-		clock: clock,
-		speed: 1,
-	}
-	e.completionFn = e.onCompletionEvent
-	return e
+// QueryPool is the freelist of pooled queries. A rig builds one and
+// every engine of its roster shares it: a query acquired for one backend
+// may complete, abort, or be retried on another, and whichever engine
+// ends it recycles it into the same list. A single engine is a fleet of
+// one with a pool of one. The list is a plain LIFO slice, so recycle
+// order is event order and every object's reuse is deterministic. The
+// zero value is an empty pool.
+type QueryPool struct {
+	free []*Query
 }
 
-// AcquireQuery returns a zeroed query from the engine's freelist (or a
-// fresh one when the list is empty). Pooled queries are recycled by the
-// engine when they reach a terminal state and every completion listener
-// has run; callers must not retain them past their OnDone/OnAbort
-// callback. Queries built with a plain &Query{} are never recycled, so
-// existing callers keep their ownership semantics.
+// Acquire returns a zeroed query from the freelist, or a fresh one when
+// the list is empty.
 //
 //qlint:hotpath
-func (e *Engine) AcquireQuery() *Query {
-	if n := len(e.freelist) - 1; n >= 0 {
-		q := e.freelist[n]
-		e.freelist[n] = nil
-		e.freelist = e.freelist[:n]
+func (p *QueryPool) Acquire() *Query {
+	if n := len(p.free) - 1; n >= 0 {
+		q := p.free[n]
+		p.free[n] = nil
+		p.free = p.free[:n]
 		return q
 	}
 	//lint:ignore hotalloc freelist growth: allocates only while the query pool warms up to peak concurrency
@@ -292,10 +284,10 @@ func (e *Engine) AcquireQuery() *Query {
 // Recycle returns a terminal pooled query to the freelist, zeroing it.
 // Non-pooled queries are ignored, so it is always safe to call on a
 // query whose provenance is unknown. Recycling a live (queued or
-// executing) query panics: that would corrupt the active set.
+// executing) query panics: that would corrupt an active set.
 //
 //qlint:hotpath
-func (e *Engine) Recycle(q *Query) {
+func (p *QueryPool) Recycle(q *Query) {
 	if q == nil || !q.pooled {
 		return
 	}
@@ -303,8 +295,55 @@ func (e *Engine) Recycle(q *Query) {
 		panic(fmt.Sprintf("engine: recycle of live query %d in state %v", q.ID, q.State))
 	}
 	*q = Query{pooled: true, index: -1}
-	e.freelist = append(e.freelist, q)
+	p.free = append(p.free, q)
 }
+
+// New returns an engine on the given clock with a query pool of its
+// own. Config values must be positive (ContentionAlpha may be zero).
+func New(cfg Config, clock *simclock.Clock) *Engine {
+	return NewWithPool(cfg, clock, new(QueryPool))
+}
+
+// NewWithPool returns an engine that draws its queries from, and recycles
+// them into, pool — the rig-wide pool every engine of a roster shares.
+func NewWithPool(cfg Config, clock *simclock.Clock, pool *QueryPool) *Engine {
+	if clock == nil {
+		panic("engine: nil clock")
+	}
+	if pool == nil {
+		panic("engine: nil query pool")
+	}
+	if cfg.CPUCapacity <= 0 || cfg.IOCapacity <= 0 || cfg.ContentionAlpha < 0 {
+		panic(fmt.Sprintf("engine: invalid config %+v", cfg))
+	}
+	e := &Engine{
+		cfg:   cfg,
+		clock: clock,
+		speed: 1,
+		pool:  pool,
+	}
+	e.completionFn = e.onCompletionEvent
+	return e
+}
+
+// QueryPool returns the pool the engine draws from and recycles into.
+func (e *Engine) QueryPool() *QueryPool { return e.pool }
+
+// AcquireQuery returns a zeroed query from the engine's pool. Pooled
+// queries are recycled by whichever engine of the pool ends them, once
+// they reach a terminal state and every completion listener has run;
+// callers must not retain them past their OnDone/OnAbort callback.
+// Queries built with a plain &Query{} are never recycled, so existing
+// callers keep their ownership semantics.
+//
+//qlint:hotpath
+func (e *Engine) AcquireQuery() *Query { return e.pool.Acquire() }
+
+// Recycle returns a terminal pooled query to the engine's pool (see
+// QueryPool.Recycle).
+//
+//qlint:hotpath
+func (e *Engine) Recycle(q *Query) { e.pool.Recycle(q) }
 
 // Clock returns the engine's simulation clock.
 func (e *Engine) Clock() *simclock.Clock { return e.clock }
@@ -367,12 +406,14 @@ func (e *Engine) SetAbortHandler(h func(*Query) bool) { e.abortHandler = h }
 // moves to StateFailed with DoneTime set; abort listeners always fire,
 // then either the abort handler claims it for retry or the OnDone
 // listeners see the terminal failure. Aborting a query that is not
-// executing (already done, still queued, or aborted by a racing event)
-// returns false and does nothing.
+// executing on this engine (already done, still queued, aborted by a
+// racing event, or recycled through the shared pool into a query that
+// runs on another engine, possibly under the same ID) returns false and
+// does nothing.
 //
 //qlint:hotpath
 func (e *Engine) Abort(q *Query) bool {
-	if q == nil || q.State != StateExecuting {
+	if !e.owns(q) {
 		return false
 	}
 	e.advanceTo(e.clock.Now())
@@ -653,6 +694,13 @@ func (e *Engine) advanceTo(now simclock.Time) {
 // completionEpsilon absorbs floating-point residue when a completion event
 // fires at the exact computed finish time.
 const completionEpsilon = 1e-9
+
+// owns reports, in O(1), whether q is executing on this engine: its
+// active-slice index must point back at it.
+func (e *Engine) owns(q *Query) bool {
+	return q != nil && q.State == StateExecuting &&
+		q.index >= 0 && q.index < len(e.active) && e.active[q.index] == q
+}
 
 // remove takes q out of the active set in O(1).
 func (e *Engine) remove(q *Query) {

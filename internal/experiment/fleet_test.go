@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -188,5 +190,79 @@ func TestFleetDecisionLogSummarizesPerBackend(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet summary missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestFleetAbortStormBackendStatsMatchCollectors runs the fleet-routing
+// scenario under abort-storm.json with the mitigation stack on: aborts,
+// timeouts and retries on every backend, all drawing from the rig's one
+// query pool. Each backend's engine counters must then agree with its
+// own collector and patroller. A stale abort that reached a recycled
+// query on the wrong engine would remove someone else's query there and
+// break these sums.
+func TestFleetAbortStormBackendStatsMatchCollectors(t *testing.T) {
+	open := func(parts ...string) *os.File {
+		f, err := os.Open(filepath.Join(append([]string{"..", "..", "examples"}, parts...)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := open("scenarios", "fleet-routing.json")
+	sc, err := ParseScenario(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = open("faults", "abort-storm.json")
+	plan, err := fault.ParseSpec(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := MitigatedQSConfig()
+	rp := DefaultRetryPolicy()
+	cfg := MixedConfig{Mode: sc.Mode, Sched: sc.Sched, Seed: sc.Seed, Classes: sc.Classes,
+		QS: &qc, Faults: &plan, Retry: &rp, Backends: sc.Backends, Experiment: "abort-storm"}
+	rig, o, err := buildRig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRig(cfg, rig, o, rig.Sched.Install(rig.Clock, rig.Pool, nil), &RunSpec{}, 0, nil)
+
+	var aborted uint64
+	for _, b := range rig.Backends {
+		s, ps := b.Eng.Stats(), b.Pat.Stats()
+		aborted += s.Aborted
+		var submitted, completed, failed uint64
+		for p := 0; p < b.Collector.Periods(); p++ {
+			for _, id := range b.Collector.ClassIDs() {
+				agg := b.Collector.Agg(p, id)
+				submitted += uint64(agg.Submitted)
+				completed += uint64(agg.Completed)
+				failed += uint64(agg.Failed)
+			}
+		}
+		if completed != s.Completed {
+			t.Errorf("backend %d: collector counts %d completions, engine %d", b.ID(), completed, s.Completed)
+		}
+		if submitted != s.Submitted-ps.Retried {
+			t.Errorf("backend %d: collector counts %d arrivals, engine %d submits less %d retries", b.ID(), submitted, s.Submitted, ps.Retried)
+		}
+		if s.Aborted != ps.Failed || s.Aborted != ps.Retried+ps.Exhausted || failed != ps.Exhausted {
+			t.Errorf("backend %d: engine aborted %d; patroller failed %d = retried %d + exhausted %d; collector failed %d",
+				b.ID(), s.Aborted, ps.Failed, ps.Retried, ps.Exhausted, failed)
+		}
+		if live := s.Started - s.Completed - s.Aborted - s.Evacuated; live != uint64(b.Eng.Active()) {
+			t.Errorf("backend %d: %d started and not ended, %d in the active set", b.ID(), live, b.Eng.Active())
+		}
+		for _, q := range b.Eng.ActiveQueries() {
+			if q.State != engine.StateExecuting {
+				t.Errorf("backend %d: active query %d is %v", b.ID(), q.ID, q.State)
+			}
+		}
+	}
+	if aborted == 0 {
+		t.Fatal("abort-storm injected no aborts")
 	}
 }

@@ -16,12 +16,14 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/decisionlog"
+	"repro/internal/engine"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -71,13 +73,35 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 // verbatim (so head divergences still show in context). Equality of the
 // digest is byte-identity of the trace.
 func goldenTraceDigest(trace []byte) []byte {
-	head := trace
-	if len(head) > 64*1024 {
-		head = head[:64*1024]
+	d := newTraceDigest()
+	d.Write(trace)
+	return d.Bytes()
+}
+
+// traceDigest computes goldenTraceDigest as the trace streams through
+// it, so a run's trace is pinned without holding it in memory.
+type traceDigest struct {
+	n    int
+	sum  hash.Hash
+	head []byte
+}
+
+func newTraceDigest() *traceDigest { return &traceDigest{sum: sha256.New()} }
+
+func (d *traceDigest) Write(p []byte) (int, error) {
+	d.n += len(p)
+	d.sum.Write(p)
+	if room := 64*1024 - len(d.head); room > 0 {
+		d.head = append(d.head, p[:min(room, len(p))]...)
 	}
+	return len(p), nil
+}
+
+// Bytes renders the digest of everything written so far.
+func (d *traceDigest) Bytes() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "bytes=%d sha256=%x\n", len(trace), sha256.Sum256(trace))
-	b.Write(head)
+	fmt.Fprintf(&b, "bytes=%d sha256=%x\n", d.n, d.sum.Sum(nil))
+	b.Write(d.head)
 	return b.Bytes()
 }
 
@@ -168,6 +192,50 @@ func TestGoldenMixedQuickParallel(t *testing.T) {
 			goldenCompare(t, prefix+"_decisions.jsonl", outs[i].decisions)
 		}
 	}
+}
+
+// fleetGoldenConfig is the quick E15 failover arm (backend 2 crashes at
+// t=450 s and never recovers) with class abort faults on both OLAP
+// classes and the mitigation stack on: routing, failover re-dispatch,
+// aborts, timeouts and retries all run on every backend of one fleet.
+func fleetGoldenConfig() MixedConfig {
+	plan := FailoverPlan(1, true)
+	plan.AbortRate = map[engine.ClassID]float64{1: 0.1, 2: 0.1}
+	cfg := FailoverMixedConfig(FailoverConfig{Seed: 1, Quick: true}, &plan, false)
+	qc := MitigatedQSConfig()
+	qc.SystemCostLimit = cfg.QS.SystemCostLimit
+	cfg.QS = &qc
+	rp := DefaultRetryPolicy()
+	cfg.Retry = &rp
+	cfg.Experiment = "golden-fleet"
+	return cfg
+}
+
+// TestGoldenFleetFailoverQuick pins the fleet path's observability
+// surface — JSONL trace, decision log, metrics exposition, period and
+// routing tables — the way TestGoldenMixedQuick pins a single backend.
+func TestGoldenFleetFailoverQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet failover run is slow under -race")
+	}
+	cfg := fleetGoldenConfig()
+	trace := newTraceDigest()
+	var mb, db bytes.Buffer
+	cfg.Trace, cfg.Metrics, cfg.Decisions = trace, &mb, &db
+	res := RunFleet(cfg)
+	if res.ExportErr != nil {
+		t.Fatal(res.ExportErr)
+	}
+	if res.Faults.Total() == 0 || res.PatStats.Retried == 0 {
+		t.Fatalf("fleet golden run injected %d faults and retried %d queries; want both", res.Faults.Total(), res.PatStats.Retried)
+	}
+	var tables strings.Builder
+	tables.WriteString(mixedTables(res.MixedResult))
+	WriteRouting(&tables, res)
+	goldenCompare(t, "fleet_failover_trace.digest", trace.Bytes())
+	goldenCompare(t, "fleet_failover_metrics.txt", mb.Bytes())
+	goldenCompare(t, "fleet_failover_tables.txt", []byte(tables.String()))
+	goldenCompare(t, "fleet_failover_decisions.jsonl", db.Bytes())
 }
 
 // TestGoldenFig2Quick pins a scaled-down Figure 2 sweep, serially and on

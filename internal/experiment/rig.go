@@ -137,8 +137,9 @@ func newRig(seed uint64, sched workload.Schedule, classes []*workload.Class, str
 	}
 	r := &Rig{Clock: simclock.New(), Classes: classes, Sched: sched}
 	engines := make([]*engine.Engine, len(specs))
+	pool := new(engine.QueryPool)
 	for i, spec := range specs {
-		b := backend.New(i+1, spec, r.Clock)
+		b := backend.New(i+1, spec, r.Clock, pool)
 		r.Backends = append(r.Backends, b)
 		engines[i] = b.Eng
 	}

@@ -645,9 +645,11 @@ func (in *Injector) maybeScheduleAbort(q *engine.Query) {
 
 // abortFn fires one scheduled abort against the query object the draw
 // doomed. A stale fire (the attempt already finished, timed out, or was
-// retried) must be a no-op; the id/attempt guard decides it, because the
-// object itself may have been recycled into a different live query by
-// the engine's freelist after the doomed attempt ended.
+// retried) must be a no-op, because the object itself may have been
+// recycled into a different live query by the rig's query pool after
+// the doomed attempt ended. The id/attempt guard decides it on this
+// engine; a recycled query executing on another backend may repeat the
+// id and attempt, and Engine.Abort refuses a query it does not hold.
 func (in *Injector) abortFn(pa *pendingAbort, q *engine.Query) simclock.EventFunc {
 	return func() {
 		delete(in.aborts, pa.ref.Seq)

@@ -132,6 +132,8 @@ func DefaultConfig() *Config {
 		},
 		PoolAPIs: []PoolAPI{
 			{Pkg: "repro/internal/engine", Acquire: "AcquireQuery", Release: "Recycle"},
+			// The rig-wide QueryPool behind AcquireQuery/Recycle.
+			{Pkg: "repro/internal/engine", Acquire: "Acquire", Release: "Recycle"},
 			{Pkg: "repro/internal/patroller", Acquire: "acquireEntry", Release: "releaseEntry"},
 		},
 	}

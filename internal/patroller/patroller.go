@@ -479,7 +479,7 @@ func (p *Patroller) resubmit(old *engine.Query) {
 	q.Demand = old.Demand
 	q.Attempt = old.Attempt + 1
 	// The failed attempt was claimed at abort time and is dead now that
-	// its fields are copied; hand it back to the engine's freelist.
+	// its fields are copied; hand it back to the rig's query pool.
 	p.eng.Recycle(old)
 	p.requeueHead = true
 	p.eng.Submit(q)
@@ -611,10 +611,11 @@ func (p *Patroller) timeoutFn(q *engine.Query) simclock.EventFunc {
 	//lint:ignore hotalloc the timeout callback must capture its query; armed once per release, cancelled on completion
 	return func() {
 		delete(p.timeouts, id)
-		// The id guard keeps a stale fire harmless even if the engine
+		// The id guard keeps a stale fire harmless even if the pool
 		// recycled the object into a different query (completion and
 		// abort both cancel the timeout, but a same-instant race still
-		// dequeues the event).
+		// dequeues the event); Engine.Abort refuses a recycled query
+		// that reuses the id on another backend.
 		if q.ID != id || q.State != engine.StateExecuting {
 			return
 		}

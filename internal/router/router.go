@@ -33,6 +33,8 @@ type QueueDepth struct{}
 func (QueueDepth) Name() string { return "queue" }
 
 // Score rates b by its held-queue length.
+//
+//qlint:hotpath
 func (QueueDepth) Score(b backend.Backend, _ *engine.Query) float64 {
 	return 1 / (1 + float64(b.QueueDepth()))
 }
@@ -47,6 +49,8 @@ type Load struct{}
 func (Load) Name() string { return "load" }
 
 // Score rates b by its current utilization.
+//
+//qlint:hotpath
 func (Load) Score(b backend.Backend, _ *engine.Query) float64 {
 	return 1 / (1 + b.Load())
 }
@@ -59,6 +63,8 @@ type Affinity struct{}
 func (Affinity) Name() string { return "affinity" }
 
 // Score rates b by its configured bias for the query's class.
+//
+//qlint:hotpath
 func (Affinity) Score(b backend.Backend, q *engine.Query) float64 {
 	return b.Affinity(q.Class)
 }
@@ -94,6 +100,8 @@ type Decision struct {
 type Router struct {
 	backends []backend.Backend
 	scorers  []Weighted
+	// pool is the query pool every backend's engine shares.
+	pool *engine.QueryPool
 
 	// routed / cost are the per-backend tallies (roster order): total
 	// queries ever routed, and routed timeron cost since the fleet
@@ -121,10 +129,17 @@ type Router struct {
 }
 
 // New builds a router over the backends (roster order = tie-break
-// order) with the given scoring policy.
+// order) with the given scoring policy. Every backend's engine must draw
+// from one query pool: a query acquired here may end on any of them.
 func New(backends []backend.Backend, scorers []Weighted) *Router {
 	if len(backends) == 0 {
 		panic("router: no backends")
+	}
+	pool := backends[0].Engine().QueryPool()
+	for _, b := range backends[1:] {
+		if b.Engine().QueryPool() != pool {
+			panic(fmt.Sprintf("router: backend %d does not share the roster's query pool", b.ID()))
+		}
 	}
 	if len(scorers) == 0 {
 		panic("router: no scorers")
@@ -137,6 +152,7 @@ func New(backends []backend.Backend, scorers []Weighted) *Router {
 	return &Router{
 		backends: backends,
 		scorers:  scorers,
+		pool:     pool,
 		routed:   make([]int64, len(backends)),
 		cost:     make([]float64, len(backends)),
 		down:     make([]bool, len(backends)),
@@ -155,18 +171,21 @@ func (r *Router) OnRoute(fn func(q *engine.Query, d Decision)) {
 	r.onRoute = append(r.onRoute, fn)
 }
 
-// AcquireQuery hands out a fresh query object. Fleet queries are
-// plain allocations, never pooled: a query's terminal engine recycles
-// only its own pooled objects, and cross-backend freelist migration is
-// not worth the bookkeeping. Engines ignore non-pooled queries on
-// recycle, so this is safe by construction.
-func (r *Router) AcquireQuery() *engine.Query { return &engine.Query{} }
+// AcquireQuery hands out a query from the roster's shared pool.
+// Whichever engine ends it — completion, terminal abort, or a
+// patroller retry on any backend — recycles it into the same pool, so
+// the fleet reuses a handful of objects like a single engine does.
+//
+//qlint:hotpath
+func (r *Router) AcquireQuery() *engine.Query { return r.pool.Acquire() }
 
 // Submit scores every healthy backend for the query, routes it to the
 // argmax (lowest roster index wins ties), and fires the routing
 // listeners. Down backends are excluded outright; a backend being
 // drained of the query's class (an active migration) is skipped unless
 // it is the only healthy choice left.
+//
+//qlint:hotpath
 func (r *Router) Submit(q *engine.Query) {
 	avoid := 0
 	if len(r.migrations) > 0 {

@@ -21,8 +21,8 @@ type stub struct {
 	aff   map[engine.ClassID]float64
 }
 
-func newStub(id int, clock *simclock.Clock) *stub {
-	return &stub{id: id, eng: engine.New(engine.DefaultConfig(), clock)}
+func newStub(id int, clock *simclock.Clock, pool *engine.QueryPool) *stub {
+	return &stub{id: id, eng: engine.NewWithPool(engine.DefaultConfig(), clock, pool)}
 }
 
 func (s *stub) ID() int                { return s.id }
@@ -41,7 +41,8 @@ func (s *stub) Evacuate() []*engine.Query { return s.eng.Evacuate() }
 func testRouter(t *testing.T, scorers []Weighted) (*Router, []*stub) {
 	t.Helper()
 	clock := simclock.New()
-	stubs := []*stub{newStub(1, clock), newStub(2, clock), newStub(3, clock)}
+	pool := new(engine.QueryPool)
+	stubs := []*stub{newStub(1, clock, pool), newStub(2, clock, pool), newStub(3, clock, pool)}
 	bs := make([]backend.Backend, len(stubs))
 	for i, s := range stubs {
 		bs[i] = s
@@ -164,8 +165,9 @@ func fleetPair(t *testing.T) (*simclock.Clock, *Router, []*backend.Instance) {
 	qsCfg.SystemCostLimit = 30000
 	var instances []*backend.Instance
 	var bs []backend.Backend
+	pool := new(engine.QueryPool)
 	for i := 1; i <= 2; i++ {
-		b := backend.New(i, backend.Spec{Name: "b"}, clock)
+		b := backend.New(i, backend.Spec{Name: "b"}, clock, pool)
 		b.Pat = patroller.New(b.Eng, 1)
 		qs, err := core.New(qsCfg, b.Eng, b.Pat, classes, nil)
 		if err != nil {

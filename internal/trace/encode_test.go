@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -92,5 +93,45 @@ func TestEventLineMatchesEncodingJSON(t *testing.T) {
 			Detail: sb.String(),
 		}
 		checkEventLine(t, e)
+	}
+}
+
+// TestDoneDetailMatchesSprintf pins the done annotation rendered at
+// encode time to the fmt verb it replaced, on zero, negative zero,
+// sub-millisecond, rounding-boundary, huge and random values: the
+// encoded line and Event.String of a timed done event equal those of
+// the same event carrying the Sprintf text as its Detail.
+func TestDoneDetailMatchesSprintf(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1e-9, 1e-4, 4.999e-4, 5e-4, 0.0015, 0.0025,
+		0.9995, 1, 2.5, 123.4565, 86400.0005, 1e6, 3.7e9, 1e21, 1e300, -0.0004, -7.25,
+	}
+	src := rng.New(9)
+	for i := 0; i < 4000; i++ {
+		vals = append(vals, src.Range(0, 1)*math.Pow(10, float64(src.Intn(16)-7)))
+	}
+	for i, rt := range vals {
+		exec := vals[(7*i+3)%len(vals)]
+		want := fmt.Sprintf("rt=%.3fs exec=%.3fs", rt, exec)
+		if got := string(appendDoneDetail(nil, rt, exec)); got != want {
+			t.Fatalf("done annotation of (%v, %v) = %q, want %q", rt, exec, got, want)
+		}
+		timed := Event{Seq: 3, Time: 10, Kind: QueryDone, Class: 2, Query: 5, Value: 40, RespTime: rt, ExecTime: exec}
+		if !timed.timedDone() {
+			continue // both zero: an unset pair renders no annotation
+		}
+		hand := timed
+		hand.RespTime, hand.ExecTime, hand.Detail = 0, 0, want
+		if got, want := appendEventLine(nil, &timed), marshalEventLine(t, hand); string(got) != string(want) {
+			t.Fatalf("timed done line\n got %q\nwant %q", got, want)
+		}
+		if timed.String() != hand.String() {
+			t.Fatalf("timed done String %q, want %q", timed.String(), hand.String())
+		}
+	}
+	// A done event that carries a Detail keeps rendering it.
+	e := Event{Kind: QueryDone, RespTime: 1, ExecTime: 1, Detail: "beta"}
+	if got := string(appendEventLine(nil, &e)); !strings.Contains(got, `"detail":"beta"`) || !strings.HasSuffix(e.String(), " beta") {
+		t.Fatalf("done event with a Detail rendered %q / %q", got, e.String())
 	}
 }

@@ -132,12 +132,19 @@ func TestEmitThroughStreamDoesNotAllocate(t *testing.T) {
 	if err := tr.StreamJSONL(io.Discard, Meta{Experiment: "allocs"}); err != nil {
 		t.Fatal(err)
 	}
-	e := Event{Time: 1, Kind: QuerySubmit, Class: 1, Query: 7, Client: 3, Value: 125.5, Detail: "q1"}
-	for i := 0; i < 2*traceBatchSize; i++ {
-		tr.Emit(e)
+	submit := Event{Time: 1, Kind: QuerySubmit, Class: 1, Query: 7, Client: 3, Value: 125.5, Detail: "q1"}
+	done := Event{Time: 2, Kind: QueryDone, Class: 1, Query: 7, Client: 3, Value: 125.5, RespTime: 1.25, ExecTime: 0.75}
+	emit := func() {
+		tr.Emit(submit)
+		tr.Emit(done)
+		// The route hook's annotation, interned per backend.
+		tr.Emit(Event{Time: 1, Kind: QueryRouted, Class: 1, Query: 7, Client: 3, Value: 2, Detail: tr.detailBackend(2)})
 	}
-	if n := testing.AllocsPerRun(4*traceBatchSize, func() { tr.Emit(e) }); n != 0 {
-		t.Fatalf("Emit allocates %v times per event", n)
+	for i := 0; i < 2*traceBatchSize; i++ {
+		emit()
+	}
+	if n := testing.AllocsPerRun(4*traceBatchSize, emit); n != 0 {
+		t.Fatalf("Emit allocates %v times per submit, done and route event", n)
 	}
 	if err := tr.SinkErr(); err != nil {
 		t.Fatal(err)

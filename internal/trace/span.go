@@ -131,7 +131,12 @@ func appendEventLine(buf []byte, e *Event) []byte {
 	buf = strconv.AppendInt(buf, int64(e.Plan), 10)
 	buf = append(buf, `,"value":`...)
 	buf = appendJSONFloat(buf, e.Value)
-	if e.Detail != "" {
+	if e.timedDone() {
+		// Digits, dots, signs and letters only: nothing to escape.
+		buf = append(buf, `,"detail":"`...)
+		buf = appendDoneDetail(buf, e.RespTime, e.ExecTime)
+		buf = append(buf, '"')
+	} else if e.Detail != "" {
 		buf = append(buf, `,"detail":`...)
 		buf = appendJSONString(buf, e.Detail)
 	}

@@ -100,11 +100,38 @@ type Event struct {
 	Value float64
 	// Detail is a short human-readable annotation.
 	Detail string
+	// RespTime and ExecTime are a completion's response and execution
+	// time in seconds, set on the QueryDone events AttachEngine records
+	// (zero = unset). A done event with no Detail renders them as its
+	// annotation, "rt=%.3fs exec=%.3fs", only when its line is encoded
+	// or printed, so recording a completion builds no string.
+	RespTime, ExecTime float64
 }
 
 func (e Event) String() string {
+	detail := e.Detail
+	if e.timedDone() {
+		detail = string(appendDoneDetail(nil, e.RespTime, e.ExecTime))
+	}
 	return fmt.Sprintf("%10.2f %-9s class=%d query=%d client=%d value=%.2f %s",
-		e.Time, e.Kind, e.Class, e.Query, e.Client, e.Value, e.Detail)
+		e.Time, e.Kind, e.Class, e.Query, e.Client, e.Value, detail)
+}
+
+// timedDone reports whether the event's annotation is its rt/exec pair
+// rather than its Detail string.
+func (e *Event) timedDone() bool {
+	return e.Kind == QueryDone && e.Detail == "" && (e.RespTime != 0 || e.ExecTime != 0)
+}
+
+// appendDoneDetail renders a completion's annotation exactly as
+// fmt's "rt=%.3fs exec=%.3fs" does: strconv.AppendFloat with the verb's
+// precision produces the same text.
+func appendDoneDetail(buf []byte, rt, exec float64) []byte {
+	buf = append(buf, "rt="...)
+	buf = strconv.AppendFloat(buf, rt, 'f', 3, 64)
+	buf = append(buf, "s exec="...)
+	buf = strconv.AppendFloat(buf, exec, 'f', 3, 64)
+	return append(buf, 's')
 }
 
 // numKinds sizes the dense per-kind counter array (kinds are small
@@ -136,6 +163,8 @@ type Tracer struct {
 	scratch []byte  // reused JSONL line-encoding buffer
 	//lint:ignore ckptcover reused formatting scratch; dead between Emit calls
 	detailBuf []byte // reused annotation-formatting buffer
+	//lint:ignore ckptcover interned route annotations, rebuilt on first use
+	routeDetails []string // "backend=N" at index N
 }
 
 // New returns a tracer retaining the most recent capacity events.
@@ -270,19 +299,8 @@ func (t *Tracer) WriteTo(w io.Writer, max int) {
 // The detail* helpers format the per-event annotations through a reused
 // scratch buffer instead of fmt: strconv.AppendFloat with the same verb
 // precision produces byte-identical text, and only the final string
-// conversion allocates. They render exactly "rt=%.3fs exec=%.3fs",
-// "attempt=%d", and "waited=%.1fs".
-
-//qlint:hotpath
-func (t *Tracer) detailRT(rt, exec float64) string {
-	b := append(t.detailBuf[:0], "rt="...)
-	b = strconv.AppendFloat(b, rt, 'f', 3, 64)
-	b = append(b, "s exec="...)
-	b = strconv.AppendFloat(b, exec, 'f', 3, 64)
-	b = append(b, 's')
-	t.detailBuf = b
-	return string(b)
-}
+// conversion allocates. They render exactly "attempt=%d" and
+// "waited=%.1fs".
 
 //qlint:hotpath
 func (t *Tracer) detailAttempt(attempt int) string {
@@ -323,7 +341,7 @@ func AttachEngine(t *Tracer, eng *engine.Engine) {
 		}
 		t.Emit(Event{Time: clock.Now(), Kind: QueryDone, Class: q.Class,
 			Query: q.ID, Client: q.Client, Value: q.Cost,
-			Detail: t.detailRT(q.ResponseTime(), q.ExecutionTime())})
+			RespTime: q.ResponseTime(), ExecTime: q.ExecutionTime()})
 	})
 	eng.OnAbort(func(q *engine.Query) {
 		t.Emit(Event{Time: clock.Now(), Kind: QueryAborted, Class: q.Class,
@@ -380,12 +398,16 @@ func AttachRouter(t *Tracer, r *router.Router, clock *simclock.Clock) {
 	})
 }
 
+// detailBackend returns the interned "backend=N" annotation; the table
+// grows to N the first time backend N is routed to.
+//
 //qlint:hotpath
 func (t *Tracer) detailBackend(b int) string {
-	buf := append(t.detailBuf[:0], "backend="...)
-	buf = strconv.AppendInt(buf, int64(b), 10)
-	t.detailBuf = buf
-	return string(buf)
+	for len(t.routeDetails) <= b {
+		//lint:ignore hotalloc interning: one string per backend, built once per run
+		t.routeDetails = append(t.routeDetails, "backend="+strconv.Itoa(len(t.routeDetails)))
+	}
+	return t.routeDetails[b]
 }
 
 // detailReroute renders a failover move — not hot-path: re-dispatches

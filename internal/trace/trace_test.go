@@ -142,7 +142,7 @@ func TestAttachEngineRecordsLifecycle(t *testing.T) {
 	if events[1].Kind != QueryStart || events[1].Query != events[0].Query {
 		t.Fatalf("start event = %+v", events[1])
 	}
-	if events[2].Kind != QueryDone || !strings.Contains(events[2].Detail, "rt=") {
+	if events[2].Kind != QueryDone || !strings.Contains(events[2].String(), "rt=1.000s exec=1.000s") {
 		t.Fatalf("done event = %+v", events[2])
 	}
 }

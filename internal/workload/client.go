@@ -40,10 +40,10 @@ func (c *Client) Active() bool { return c.active }
 //qlint:hotpath
 func (c *Client) submitNext() {
 	inst := c.set.Generate(c.src)
-	// Queries come from the submitter's freelist: the engine recycles
-	// them on terminal state, so a million-query run reuses a handful of
+	// Queries come from the rig's one query pool: whichever engine ends
+	// a query recycles it, so a million-query run reuses a handful of
 	// objects instead of allocating one per statement. A fleet run swaps
-	// in a router here; the single-engine path is untouched.
+	// in a router here, drawing from the same kind of pool.
 	sub := c.pool.route
 	q := sub.AcquireQuery()
 	q.Client = c.ID

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Allocation-budget smoke: run the headline mixed benchmarks once with
-# -benchmem and fail if bytes allocated per op regress more than 10%
-# over the checked-in budget (scripts/alloc_budget.txt). The budget
-# encodes the hot path's allocation discipline — pooled query/span
-# objects, dense per-class slices, batched trace dispatch — as a CI
+# Allocation-budget smoke: run the headline benchmarks — the
+# single-backend mixed runs, the E14/E15 fleets and the million-client
+# generator — once with -benchmem and fail if bytes allocated per op
+# regress more than 10% over the checked-in budget
+# (scripts/alloc_budget.txt). The budget encodes the hot path's
+# allocation discipline — one rig-wide query pool, pooled patroller
+# entries, dense per-class slices, batched trace dispatch — as a CI
 # regression target rather than a one-off win.
 #
 # Usage:
@@ -13,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=scripts/alloc_budget.txt
-BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2)$'
+BENCH='^(BenchmarkSystemCostLimit|BenchmarkFig2|BenchmarkRoutingFleet|BenchmarkFleetFailover|BenchmarkMillionClients)$'
 
 OUT=$(go test -run='^$' -bench="$BENCH" -benchtime=1x -benchmem -timeout 1800s .)
 echo "$OUT"
